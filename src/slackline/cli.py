@@ -9,19 +9,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import struct
 import sys
 import time
-
-import numpy as np
+from dataclasses import asdict, replace
 
 from .config import TaskConfig, TrainConfig, load_config_file
 from .encoder import (
     ParamsFormatError,
+    container_bytes,
     load_params,
     params_digest,
+    read_container,
+    read_sidecar_workspace,
     save_params,
     train,
+    write_sidecar,
 )
 from .explore import (
     DatasetVersionError,
@@ -85,54 +87,29 @@ def _load_encoder_checked(path: str):
     return load_params(path)
 
 
-def _save_ae(ae: AeParams, path: str, cfg: TrainConfig) -> None:
-    blob = bytearray(b"SLAE")
-    blob += struct.pack("<I", 1)
-    blob += struct.pack("<I", len(ae.sizes))
-    for s in ae.sizes:
-        blob += struct.pack("<I", s)
-    blob += struct.pack("<I", ae.latent_layer)
-    for w, b in zip(ae.weights, ae.biases):
-        blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
-    from dataclasses import asdict
+AE_MAGIC = b"SLAE"
+AE_VERSION = 1
 
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"workspace": list(ae.workspace), "train": asdict(cfg)}, fh,
-                  indent=1)
-        fh.write("\n")
+
+def _save_ae(ae: AeParams, path: str, cfg: TrainConfig) -> None:
+    with open(path, "wb") as fh:
+        fh.write(container_bytes(AE_MAGIC, AE_VERSION, ae.sizes,
+                                 (ae.latent_layer,), ae.weights, ae.biases))
+    write_sidecar(path, ae.workspace, train=asdict(cfg))
 
 
 def load_ae(path: str) -> AeParams:
     if not os.path.exists(path):
         raise FileNotFoundError(f"autoencoder file not found: {path}")
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != b"SLAE":
-        raise ParamsFormatError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != 1:
-        raise ParamsFormatError(f"{path}: unsupported version {version}")
-    (count,) = struct.unpack_from("<I", blob, 8)
-    sizes = struct.unpack_from(f"<{count}I", blob, 12)
-    offset = 12 + 4 * count
-    (latent_layer,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += 8 * fan_in * fan_out
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    return AeParams(tuple(sizes), weights, biases, int(latent_layer),
-                    tuple(sidecar["workspace"]))
+    sizes, (latent_layer,), weights, biases = read_container(
+        path, AE_MAGIC, AE_VERSION, header_fields=1
+    )
+    if not 0 < latent_layer < len(sizes) - 1:
+        raise ParamsFormatError(
+            f"{path}: latent layer {latent_layer} outside {len(sizes)} layers"
+        )
+    return AeParams(sizes, weights, biases, latent_layer,
+                    read_sidecar_workspace(path))
 
 
 def _parse_matrix(spec: str) -> list[tuple[str, str]]:
@@ -175,12 +152,10 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset_checked(args.dataset)
     _, train_cfg = _load_configs(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         train_cfg = replace(train_cfg, seed=args.seed)
     t0 = time.perf_counter()
     report = train(dataset, train_cfg)
-    save_params(report.params, args.out, train_cfg)
+    save_params(report.params, args.out, train_cfg, report.epoch_losses)
     dt = time.perf_counter() - t0
     print(
         f"trained encoder in {dt:.1f}s; per-epoch loss "
@@ -194,8 +169,6 @@ def _cmd_train_ae(args) -> int:
     dataset = _load_dataset_checked(args.dataset)
     _, train_cfg = _load_configs(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         train_cfg = replace(train_cfg, seed=args.seed)
     t0 = time.perf_counter()
     report = train_autoencoder(dataset, train_cfg)

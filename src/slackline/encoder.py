@@ -167,9 +167,24 @@ def info_nce_loss(
     negatives = np.atleast_2d(negatives)
     if negatives.shape[0] < 1:
         raise ValueError("need at least one negative")
-    logits = np.concatenate([[np.dot(anchor, positive)], negatives @ anchor])
-    m = logits.max()
-    return float(m + np.log(np.exp(logits - m).sum()) - logits[0])
+    return _info_nce(np.vstack([anchor, positive, negatives])[None])[0]
+
+
+def _info_nce(zg: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean InfoNCE loss over anchor groups zg of shape (groups, 2 + N, d),
+    laid out as [anchor, positive, neg_1..neg_N], and the softmax over each
+    group's logits (positive first)."""
+    za = zg[:, 0]
+    zp = zg[:, 1]
+    zn = zg[:, 2:]
+    pos_logit = np.einsum("gd,gd->g", za, zp)
+    neg_logits = np.einsum("gnd,gd->gn", zn, za)
+    logits = np.concatenate([pos_logit[:, None], neg_logits], axis=1)
+    m = logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits - m)
+    denom = exp.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(denom)[:, 0] + m[:, 0] - pos_logit))
+    return loss, exp / denom
 
 
 @dataclass
@@ -200,20 +215,11 @@ def _grad_step(
     [anchor, positive, neg_1..neg_N] blocks in x, with exact gradients."""
     z, acts, y, norms = _forward(params, x)
     d = z.shape[1]
-    span = 2 + negatives
-    zg = z.reshape(groups, span, d)
+    zg = z.reshape(groups, 2 + negatives, d)
     za = zg[:, 0]
     zp = zg[:, 1]
     zn = zg[:, 2:]
-
-    pos_logit = np.einsum("gd,gd->g", za, zp)
-    neg_logits = np.einsum("gnd,gd->gn", zn, za)
-    logits = np.concatenate([pos_logit[:, None], neg_logits], axis=1)
-    m = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - m)
-    denom = exp.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(denom)[:, 0] + m[:, 0] - pos_logit))
-    probs = exp / denom
+    loss, probs = _info_nce(zg)
 
     # d loss / d logits, averaged over groups
     dlogits = probs / groups
@@ -240,6 +246,82 @@ def _grad_step(
         if layer > 0:
             delta = (delta @ params.weights[layer].T) * (acts[layer] > 0.0)
     return loss, grad_w, grad_b
+
+
+def _probe_loss(
+    params: MlpParams, x_all: np.ndarray, probe_rows: np.ndarray
+) -> float:
+    """Mean InfoNCE loss of the probe groups: every state is encoded once and
+    the groups gather their rows from the embeddings, so the loss equals the
+    one over the gathered inputs without repeating any state's pass."""
+    z, _, _, _ = _forward(params, x_all)
+    return _info_nce(z[probe_rows])[0]
+
+
+class Adam:
+    """Adam with bias-corrected first and second moments; each step updates
+    the given arrays in place."""
+
+    def __init__(self, arrays: list[np.ndarray], learning_rate: float) -> None:
+        self.arrays = arrays
+        self.learning_rate = learning_rate
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.steps = 0
+
+    def step(self, grads: list[np.ndarray]) -> None:
+        self.steps += 1
+        bc1 = 1.0 - ADAM_BETA1**self.steps
+        bc2 = 1.0 - ADAM_BETA2**self.steps
+        for i, (a, g) in enumerate(zip(self.arrays, grads)):
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g**2
+            a -= (
+                self.learning_rate * (self.m[i] / bc1)
+                / (np.sqrt(self.v[i] / bc2) + ADAM_EPS)
+            )
+
+
+def _draw_negatives(
+    rng: np.random.Generator, ep_ids: np.ndarray, episode: int, count: int
+) -> np.ndarray:
+    """`count` uniform flat indices of states outside `episode`.
+
+    Rejection sampling, a batch at a time: each call draws only the
+    shortfall, so no value past the last accepted one is drawn. For ranges
+    below 2**32, rng.integers(n, size=k) consumes the stream as k scalar
+    rng.integers(n) calls do, so the indices and the generator's final state
+    equal those of drawing one scalar at a time until `count` pass.
+    """
+    n = len(ep_ids)
+    kept = np.empty(0, dtype=np.int64)
+    while len(kept) < count:
+        c = rng.integers(n, size=count - len(kept))
+        kept = np.concatenate([kept, c[ep_ids[c] != episode]])
+    return kept
+
+
+def _group_rows(
+    rng: np.random.Generator,
+    anchors: np.ndarray,
+    ep_ids: np.ndarray,
+    ep_ranges: list[tuple[int, int]],
+    negatives: int,
+) -> np.ndarray:
+    """Flat state indices [anchor, positive, neg_1..neg_N] per anchor: the
+    positive is a uniform other state of the anchor's episode, the negatives
+    uniform states of other episodes."""
+    rows = np.empty((len(anchors), 2 + negatives), dtype=np.int64)
+    rows[:, 0] = anchors
+    for g, a in enumerate(anchors):
+        j = int(ep_ids[a])
+        s0, s1 = ep_ranges[j]
+        p = int(rng.integers(s0, s1 - 1))
+        if p >= a:
+            p += 1  # skip the anchor itself
+        rows[g, 1] = p
+        rows[g, 2:] = _draw_negatives(rng, ep_ids, j, negatives)
+    return rows
 
 
 def train(
@@ -281,32 +363,12 @@ def train(
     # fixed probe pairs: per-epoch loss is evaluated on these, so the curve
     # reflects the parameters rather than the minibatch sampling path
     probe_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7072]))
-    probe_span = 2 + cfg.negatives
-    probe_count = min(n, 2048)
-    probe_anchors = probe_rng.choice(n, size=probe_count, replace=False)
-    probe_rows = np.empty((probe_count, probe_span), dtype=np.int64)
-    probe_rows[:, 0] = probe_anchors
-    for g, a in enumerate(probe_anchors):
-        j = int(ep_ids[a])
-        s0, s1 = ep_ranges[j]
-        p = int(probe_rng.integers(s0, s1 - 1))
-        if p >= a:
-            p += 1
-        probe_rows[g, 1] = p
-        for nn in range(cfg.negatives):
-            while True:
-                c = int(probe_rng.integers(n))
-                if ep_ids[c] != j:
-                    probe_rows[g, 2 + nn] = c
-                    break
-    probe_x = x_all[probe_rows.ravel()]
+    probe_anchors = probe_rng.choice(n, size=min(n, 2048), replace=False)
+    probe_rows = _group_rows(
+        probe_rng, probe_anchors, ep_ids, ep_ranges, cfg.negatives
+    )
 
-    m_w = [np.zeros_like(w) for w in params.weights]
-    v_w = [np.zeros_like(w) for w in params.weights]
-    m_b = [np.zeros_like(b) for b in params.biases]
-    v_b = [np.zeros_like(b) for b in params.biases]
-    step = 0
-    span = 2 + cfg.negatives
+    optimizer = Adam(params.weights + params.biases, cfg.learning_rate)
     epoch_losses: list[float] = []
     epoch_batch_means: list[float] = []
 
@@ -315,45 +377,14 @@ def train(
         batch_losses: list[float] = []
         for lo in range(0, n, cfg.batch_anchors):
             anchors = order[lo : lo + cfg.batch_anchors]
-            rows = np.empty((len(anchors), span), dtype=np.int64)
-            rows[:, 0] = anchors
-            for g, a in enumerate(anchors):
-                j = int(ep_ids[a])
-                s0, s1 = ep_ranges[j]
-                p = int(rng.integers(s0, s1 - 1))
-                if p >= a:
-                    p += 1  # skip the anchor itself
-                rows[g, 1] = p
-                for nn in range(cfg.negatives):
-                    while True:
-                        c = int(rng.integers(n))
-                        if ep_ids[c] != j:
-                            rows[g, 2 + nn] = c
-                            break
-            x = x_all[rows.ravel()]
+            rows = _group_rows(rng, anchors, ep_ids, ep_ranges, cfg.negatives)
             loss, grad_w, grad_b = _grad_step(
-                params, x, len(anchors), cfg.negatives
+                params, x_all[rows.ravel()], len(anchors), cfg.negatives
             )
             batch_losses.append(loss)
-            step += 1
-            bc1 = 1.0 - ADAM_BETA1**step
-            bc2 = 1.0 - ADAM_BETA2**step
-            for i in range(len(params.weights)):
-                m_w[i] = ADAM_BETA1 * m_w[i] + (1 - ADAM_BETA1) * grad_w[i]
-                v_w[i] = ADAM_BETA2 * v_w[i] + (1 - ADAM_BETA2) * grad_w[i] ** 2
-                params.weights[i] -= (
-                    cfg.learning_rate * (m_w[i] / bc1)
-                    / (np.sqrt(v_w[i] / bc2) + ADAM_EPS)
-                )
-                m_b[i] = ADAM_BETA1 * m_b[i] + (1 - ADAM_BETA1) * grad_b[i]
-                v_b[i] = ADAM_BETA2 * v_b[i] + (1 - ADAM_BETA2) * grad_b[i] ** 2
-                params.biases[i] -= (
-                    cfg.learning_rate * (m_b[i] / bc1)
-                    / (np.sqrt(v_b[i] / bc2) + ADAM_EPS)
-                )
+            optimizer.step(grad_w + grad_b)
         epoch_batch_means.append(float(np.mean(batch_losses)))
-        probe_loss, _, _ = _grad_step(params, probe_x, probe_count, cfg.negatives)
-        epoch_losses.append(probe_loss)
+        epoch_losses.append(_probe_loss(params, x_all, probe_rows))
     return TrainReport(params, epoch_losses, epoch_batch_means)
 
 
@@ -383,55 +414,52 @@ def numerical_gradient(
 
 
 # Persistence: binary weights plus a JSON sidecar with the train config.
+# The container is shared with the autoencoder: magic, u32 version, u32
+# layer count, u32 layer sizes, any extra u32 header fields, then float64
+# weights and biases per layer.
 
 
-def params_bytes(params: MlpParams) -> bytes:
+def container_bytes(
+    magic: bytes,
+    version: int,
+    sizes: tuple[int, ...],
+    header: tuple[int, ...],
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+) -> bytes:
     out = bytearray()
-    out += PARAMS_MAGIC
-    out += struct.pack("<I", PARAMS_VERSION)
-    out += struct.pack("<I", len(params.sizes))
-    for s in params.sizes:
+    out += magic
+    out += struct.pack("<I", version)
+    out += struct.pack("<I", len(sizes))
+    for s in sizes + header:
         out += struct.pack("<I", s)
-    for w, b in zip(params.weights, params.biases):
+    for w, b in zip(weights, biases):
         out += np.ascontiguousarray(w, dtype="<f8").tobytes()
         out += np.ascontiguousarray(b, dtype="<f8").tobytes()
     return bytes(out)
 
 
-def params_digest(params: MlpParams) -> str:
-    return hashlib.sha256(params_bytes(params)).hexdigest()
-
-
-def save_params(
-    params: MlpParams, path: str, train_config: TrainConfig | None = None
-) -> None:
-    with open(path, "wb") as fh:
-        fh.write(params_bytes(params))
-    sidecar = {
-        "workspace": list(params.workspace),
-        "train": asdict(train_config) if train_config is not None else None,
-    }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1)
-        fh.write("\n")
-
-
-def load_params(path: str) -> MlpParams:
+def read_container(
+    path: str, magic: bytes, version: int, header_fields: int = 0
+) -> tuple[tuple[int, ...], tuple[int, ...], list[np.ndarray], list[np.ndarray]]:
+    """(sizes, extra header fields, weights, biases) of a container file;
+    ParamsFormatError naming the file if it is not exactly one container."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != PARAMS_MAGIC:
+    if blob[:4] != magic:
         raise ParamsFormatError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != PARAMS_VERSION:
-        raise ParamsFormatError(
-            f"{path}: unsupported version {version} (expected {PARAMS_VERSION})"
-        )
-    (count,) = struct.unpack_from("<I", blob, 8)
-    sizes = struct.unpack_from(f"<{count}I", blob, 12)
-    offset = 12 + 4 * count
     weights = []
     biases = []
     try:
+        (found,) = struct.unpack_from("<I", blob, 4)
+        if found != version:
+            raise ParamsFormatError(
+                f"{path}: unsupported version {found} (expected {version})"
+            )
+        (count,) = struct.unpack_from("<I", blob, 8)
+        fields = struct.unpack_from(f"<{count + header_fields}I", blob, 12)
+        sizes, header = fields[:count], fields[count:]
+        offset = 12 + 4 * len(fields)
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             w = np.frombuffer(
                 blob, dtype="<f8", count=fan_in * fan_out, offset=offset
@@ -441,14 +469,63 @@ def load_params(path: str) -> MlpParams:
             offset += 8 * fan_out
             weights.append(w.reshape(fan_in, fan_out).copy())
             biases.append(b.copy())
-    except ValueError as err:
+    except ParamsFormatError:
+        raise
+    except (struct.error, ValueError) as err:
         raise ParamsFormatError(f"{path}: truncated parameter file") from err
     if offset != len(blob):
         raise ParamsFormatError(f"{path}: trailing or missing bytes")
+    return tuple(sizes), tuple(header), weights, biases
+
+
+def write_sidecar(path: str, workspace: tuple[float, float], **fields) -> None:
+    """`path`.json: the workspace extents plus the given JSON fields."""
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump({"workspace": list(workspace), **fields}, fh, indent=1)
+        fh.write("\n")
+
+
+def read_sidecar_workspace(path: str) -> tuple[float, float]:
+    """Workspace extents from `path`.json; ParamsFormatError naming the
+    sidecar if it is missing, not JSON, or has no two-number workspace."""
     try:
         with open(path + ".json", "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        workspace = tuple(sidecar["workspace"])
-    except (OSError, KeyError, ValueError) as err:
-        raise ParamsFormatError(f"{path}.json: bad sidecar: {err}") from err
-    return MlpParams(tuple(sizes), weights, biases, workspace)
+        w, h = (float(v) for v in sidecar["workspace"])
+    except (OSError, KeyError, TypeError, ValueError) as err:
+        raise ParamsFormatError(f"{path}.json: bad sidecar: {err!r}") from err
+    return (w, h)
+
+
+def params_bytes(params: MlpParams) -> bytes:
+    return container_bytes(
+        PARAMS_MAGIC, PARAMS_VERSION, params.sizes, (), params.weights,
+        params.biases,
+    )
+
+
+def params_digest(params: MlpParams) -> str:
+    return hashlib.sha256(params_bytes(params)).hexdigest()
+
+
+def save_params(
+    params: MlpParams,
+    path: str,
+    train_config: TrainConfig | None = None,
+    epoch_losses: list[float] | None = None,
+) -> None:
+    """Weights to `path`; the workspace, the train config and the per-epoch
+    probe losses, when known, to the sidecar."""
+    with open(path, "wb") as fh:
+        fh.write(params_bytes(params))
+    write_sidecar(
+        path,
+        params.workspace,
+        train=asdict(train_config) if train_config is not None else None,
+        epoch_losses=list(epoch_losses) if epoch_losses is not None else None,
+    )
+
+
+def load_params(path: str) -> MlpParams:
+    sizes, _, weights, biases = read_container(path, PARAMS_MAGIC, PARAMS_VERSION)
+    return MlpParams(sizes, weights, biases, read_sidecar_workspace(path))

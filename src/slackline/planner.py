@@ -18,15 +18,13 @@ import numpy as np
 from .config import TrainConfig
 from .encoder import (
     HIDDEN,
+    Adam,
     MlpParams,
     encode,
     encode_batch,
     init_params,
     params_digest,
     states_matrix,
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
 )
 from .explore import Dataset
 from .simulator import EnvState
@@ -250,11 +248,7 @@ def train_autoencoder(dataset: Dataset, cfg: TrainConfig) -> AeReport:
     n = x_all.shape[0]
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x616574]))
-    m_w = [np.zeros_like(w) for w in params.weights]
-    v_w = [np.zeros_like(w) for w in params.weights]
-    m_b = [np.zeros_like(b) for b in params.biases]
-    v_b = [np.zeros_like(b) for b in params.biases]
-    step = 0
+    optimizer = Adam(params.weights + params.biases, cfg.learning_rate)
     losses: list[float] = []
     last = len(params.weights) - 1
     for _ in range(cfg.epochs):
@@ -277,22 +271,7 @@ def train_autoencoder(dataset: Dataset, cfg: TrainConfig) -> AeReport:
                     delta = delta @ params.weights[layer].T
                     if layer - 1 != params.latent_layer - 1:
                         delta = delta * (acts[layer] > 0.0)
-            step += 1
-            bc1 = 1.0 - ADAM_BETA1**step
-            bc2 = 1.0 - ADAM_BETA2**step
-            for i in range(len(params.weights)):
-                m_w[i] = ADAM_BETA1 * m_w[i] + (1 - ADAM_BETA1) * grad_w[i]
-                v_w[i] = ADAM_BETA2 * v_w[i] + (1 - ADAM_BETA2) * grad_w[i] ** 2
-                params.weights[i] -= (
-                    cfg.learning_rate * (m_w[i] / bc1)
-                    / (np.sqrt(v_w[i] / bc2) + ADAM_EPS)
-                )
-                m_b[i] = ADAM_BETA1 * m_b[i] + (1 - ADAM_BETA1) * grad_b[i]
-                v_b[i] = ADAM_BETA2 * v_b[i] + (1 - ADAM_BETA2) * grad_b[i] ** 2
-                params.biases[i] -= (
-                    cfg.learning_rate * (m_b[i] / bc1)
-                    / (np.sqrt(v_b[i] / bc2) + ADAM_EPS)
-                )
+            optimizer.step(grad_w + grad_b)
         losses.append(float(np.mean(batch_losses)))
     return AeReport(params, losses)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -23,6 +24,18 @@ def encoder_path(tmp_path_factory, small_encoder):
 
     path = tmp_path_factory.mktemp("cli-enc") / "enc.bin"
     save_params(small_encoder, str(path), TrainConfig(epochs=3, seed=11))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def autoencoder_path(tmp_path_factory, dataset_path):
+    folder = tmp_path_factory.mktemp("cli-ae")
+    cfg = folder / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"epochs": 1, "embed_dim": 8}}))
+    path = folder / "ae.bin"
+    code = main(["train-ae", "--dataset", dataset_path, "--out", str(path),
+                 "--config", str(cfg)])
+    assert code == 0
     return str(path)
 
 
@@ -64,6 +77,45 @@ class TestExitCodes:
             "--seed", "1", "--out", "/tmp/sweep-bogus",
         )
         assert code == 1
+
+
+class TestAutoencoderFileChecks:
+    """A broken autoencoder file exits 2 with a message naming the file."""
+
+    @pytest.fixture
+    def ae_copy(self, tmp_path, autoencoder_path):
+        path = tmp_path / "ae.bin"
+        shutil.copyfile(autoencoder_path, path)
+        shutil.copyfile(autoencoder_path + ".json", tmp_path / "ae.bin.json")
+        return path
+
+    def eval_with(self, path, dataset_path, out) -> int:
+        return run_cli(
+            "eval", "--dataset", dataset_path, "--autoencoder", str(path),
+            "--matrix", "autoencoder:leader-follower", "--episodes", "1",
+            "--seed", "2", "--out", str(out),
+        )
+
+    def test_intact_copy_evaluates(self, tmp_path, ae_copy, dataset_path):
+        assert self.eval_with(ae_copy, dataset_path, tmp_path / "r") == 0
+
+    def test_sidecar_without_workspace(self, tmp_path, capsys, ae_copy, dataset_path):
+        sidecar = tmp_path / "ae.bin.json"
+        data = json.loads(sidecar.read_text())
+        del data["workspace"]
+        sidecar.write_text(json.dumps(data))
+        assert self.eval_with(ae_copy, dataset_path, tmp_path / "r") == 2
+        assert f"{ae_copy}.json: bad sidecar" in capsys.readouterr().err
+
+    def test_truncated_file(self, tmp_path, capsys, ae_copy, dataset_path):
+        ae_copy.write_bytes(ae_copy.read_bytes()[:-16])
+        assert self.eval_with(ae_copy, dataset_path, tmp_path / "r") == 2
+        assert f"{ae_copy}: truncated" in capsys.readouterr().err
+
+    def test_trailing_bytes(self, tmp_path, capsys, ae_copy, dataset_path):
+        ae_copy.write_bytes(ae_copy.read_bytes() + b"\x00" * 8)
+        assert self.eval_with(ae_copy, dataset_path, tmp_path / "r") == 2
+        assert f"{ae_copy}: trailing" in capsys.readouterr().err
 
 
 class TestRun:
@@ -150,6 +202,9 @@ class TestTrainCommands:
 
         params = load_params(str(out))
         assert params.sizes[0] == 40
+        sidecar = json.loads((tmp_path / "enc.bin.json").read_text())
+        assert len(sidecar["epoch_losses"]) == 1
+        assert sidecar["train"]["seed"] == 4
 
     def test_train_ae_roundtrip(self, tmp_path, dataset_path):
         out = tmp_path / "ae.bin"
@@ -204,3 +259,13 @@ def test_console_entrypoint():
     )
     assert proc.returncode == 0
     assert "collect" in proc.stdout
+
+
+def test_readme_config_example_uses_defaults(tmp_path):
+    from slackline.config import TaskConfig, TrainConfig, load_config_file
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(example)
+    assert load_config_file(str(path)) == (TaskConfig(), TrainConfig())

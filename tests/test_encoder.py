@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from slackline.config import TaskConfig, TrainConfig
 from slackline.encoder import (
+    Adam,
     DimensionMismatchError,
     InsufficientDataError,
     MlpParams,
@@ -20,7 +22,10 @@ from slackline.encoder import (
     similarity,
     state_input,
     train,
+    _draw_negatives,
     _grad_step,
+    _group_rows,
+    _probe_loss,
 )
 from slackline.explore import Dataset, Episode
 from slackline.simulator import ActionPair, EnvState, PickPlace
@@ -189,6 +194,104 @@ class TestGradients:
         assert worst <= 1e-4
 
 
+def scalar_group_rows(rng, anchors, ep_ids, ep_ranges, negatives):
+    """Pair rows drawn one scalar at a time: the reference the batched draws
+    must reproduce."""
+    n = len(ep_ids)
+    rows = np.empty((len(anchors), 2 + negatives), dtype=np.int64)
+    rows[:, 0] = anchors
+    for g, a in enumerate(anchors):
+        j = int(ep_ids[a])
+        s0, s1 = ep_ranges[j]
+        p = int(rng.integers(s0, s1 - 1))
+        rows[g, 1] = p + 1 if p >= a else p
+        for nn in range(negatives):
+            while True:
+                c = int(rng.integers(n))
+                if ep_ids[c] != j:
+                    rows[g, 2 + nn] = c
+                    break
+    return rows
+
+
+def episode_layout(lengths):
+    ep_ids = np.repeat(np.arange(len(lengths)), lengths)
+    ends = np.cumsum(lengths)
+    return ep_ids, list(zip((ends - lengths).tolist(), ends.tolist()))
+
+
+class TestDrawExactness:
+    """The batched draws must leave the same rows and the same generator
+    state as the scalar rejection loop; a change in numpy's bounded-integer
+    stream fails here."""
+
+    LAYOUTS = ([3, 4], [2, 5, 3], [6, 2, 2], [4] * 40)
+
+    def test_negatives_match_scalar_rejection(self):
+        for lengths in self.LAYOUTS:
+            ep_ids, _ = episode_layout(lengths)
+            n = len(ep_ids)
+            for seed in range(20):
+                batched = np.random.default_rng(seed)
+                scalar = np.random.default_rng(seed)
+                for episode in range(len(lengths)):
+                    for count in (1, 7, 31):
+                        got = _draw_negatives(batched, ep_ids, episode, count)
+                        want = []
+                        while len(want) < count:
+                            c = int(scalar.integers(n))
+                            if ep_ids[c] != episode:
+                                want.append(c)
+                        assert got.tolist() == want
+                        assert (
+                            batched.bit_generator.state
+                            == scalar.bit_generator.state
+                        )
+
+    def test_group_rows_match_scalar_loop(self):
+        for lengths in self.LAYOUTS:
+            ep_ids, ranges = episode_layout(lengths)
+            for seed in range(10):
+                batched = np.random.default_rng(seed)
+                scalar = np.random.default_rng(seed)
+                anchors = batched.permutation(len(ep_ids))
+                scalar.permutation(len(ep_ids))
+                got = _group_rows(batched, anchors, ep_ids, ranges, 9)
+                want = scalar_group_rows(scalar, anchors, ep_ids, ranges, 9)
+                assert np.array_equal(got, want)
+                assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+class TestProbeLoss:
+    def test_equals_grad_step_loss_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        params = tiny_net()
+        ep_ids, ranges = episode_layout([5, 3, 6, 4, 2])
+        x_all = rng.uniform(0.0, 1.0, size=(len(ep_ids), 50))
+        negatives = 6
+        anchors = rng.choice(len(ep_ids), size=12, replace=False)
+        rows = _group_rows(rng, anchors, ep_ids, ranges, negatives)
+        want, _, _ = _grad_step(params, x_all[rows.ravel()], len(anchors), negatives)
+        assert _probe_loss(params, x_all, rows) == want
+
+
+class TestAdam:
+    def test_first_step_moves_by_learning_rate_times_sign(self):
+        a = np.array([1.0, -2.0, 0.5])
+        g = np.array([0.3, -4.0, 0.0])
+        Adam([a], 0.01).step([g])
+        # bias correction makes the first step lr * g / (|g| + eps)
+        assert np.allclose(a, [0.99, -1.99, 0.5], rtol=0, atol=1e-9)
+
+    def test_updates_in_place_and_counts_steps(self):
+        a = np.zeros(2)
+        opt = Adam([a], 0.1)
+        for _ in range(3):
+            opt.step([np.ones(2)])
+        assert opt.steps == 3
+        assert np.all(a < -0.29)
+
+
 class TestTrain:
     def test_deterministic(self):
         ds = synthetic_dataset()
@@ -253,6 +356,38 @@ class TestPersistence:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ParamsFormatError):
             load_params(path)
+
+    def test_sidecar_carries_epoch_losses(self, tmp_path):
+        params = init_params(36, 8, (1.0, 0.6), seed=9)
+        path = str(tmp_path / "enc.bin")
+        losses = [2.5, 2.25, 2.0000000000000004]
+        save_params(params, path, TrainConfig(), losses)
+        sidecar = json.loads(open(path + ".json").read())
+        assert sidecar["epoch_losses"] == losses
+        assert load_params(path).workspace == (1.0, 0.6)
+
+    def test_reads_sidecar_without_epoch_losses(self, tmp_path):
+        params = init_params(36, 8, (1.0, 0.6), seed=9)
+        path = str(tmp_path / "enc.bin")
+        save_params(params, path)
+        with open(path + ".json", "w") as fh:
+            json.dump({"workspace": [1.0, 0.6], "train": None}, fh)
+        assert params_digest(load_params(path)) == params_digest(params)
+
+    def test_sidecar_without_workspace_rejected(self, tmp_path):
+        params = init_params(36, 8, (1.0, 0.6), seed=9)
+        path = str(tmp_path / "enc.bin")
+        save_params(params, path)
+        with open(path + ".json", "w") as fh:
+            json.dump({"train": None}, fh)
+        with pytest.raises(ParamsFormatError, match="enc.bin.json"):
+            load_params(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        path.write_bytes(b"SLNC\x01\x00")
+        with pytest.raises(ParamsFormatError, match="truncated"):
+            load_params(str(path))
 
     def test_truncation_check(self, tmp_path):
         params = init_params(36, 8, (1.0, 0.6), seed=9)
