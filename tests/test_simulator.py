@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from slackline import simulator
 from slackline.config import TaskConfig
 from slackline.controller import make_pickplace
 from slackline.explore import _arbitrary_action
@@ -243,6 +246,119 @@ class TestExecute:
         assert obstacle_penetration(out, config.obstacle_radius) <= 1e-3
         assert np.abs(link_lengths(out) - state.link_length()).max() < 1e-9
         assert bend_angles(out).max() <= config.joint_limit + 1e-9
+
+
+# A leader-follower step of an evaluation episode (random planner, seed
+# 12345, episode 1, step 9) whose drags push 484 times, conflict 339 times
+# and clamp the cone 1855 times: the push backstop's path.
+PUSH_Q = [
+    [0.644283726, 0.330335794], [0.614348862, 0.314433249],
+    [0.584793455, 0.331030387], [0.58279061, 0.364867876],
+    [0.610181734, 0.384835685], [0.643502814, 0.378615343],
+    [0.666740508, 0.403293201], [0.658530186, 0.436180549],
+    [0.626629225, 0.447639857], [0.593797298, 0.439210645],
+    [0.568965195, 0.462283436], [0.574963437, 0.495645213],
+    [0.594602786, 0.523272789], [0.582884153, 0.555079403],
+    [0.549788206, 0.5624037], [0.525743206, 0.538511755],
+]
+PUSH_O = [
+    [0.0476864317, 0.499438394], [0.698365995, 0.303032276],
+    [0.819383943, 0.123136266], [0.15633993, 0.310755669],
+]
+
+
+def golden_corpus():
+    """(state, action, config) of every execute in the golden corpus: 300
+    arbitrary drags at obstacle radius 0.04 and 0.06, the PENETRATING
+    actions and the push-path action."""
+    for radius in (0.04, 0.06):
+        config = sweep_config(TaskConfig(), "obstacle_radius", radius)
+        for env in range(10):
+            state = generate_env(config, 700_000 + env)
+            rng = make_rng(62, env)
+            for _ in range(15):
+                action = _arbitrary_action(state, config, rng)
+                if action is None:
+                    break
+                yield state, action, config
+                state = execute(state, action, config)
+    for radius, env, index in TestExecute.PENETRATING:
+        config = sweep_config(TaskConfig(), "obstacle_radius", radius)
+        state = generate_env(config, 600_000 + env)
+        rng = make_rng(61, env)
+        for _ in range(index):
+            state = execute(state, _arbitrary_action(state, config, rng), config)
+        yield state, _arbitrary_action(state, config, rng), config
+    state = EnvState(np.array(PUSH_Q), np.array(PUSH_O))
+    yield state, ActionPair(
+        PickPlace(2, 13, tuple(PUSH_Q[13]), (0.526700279, 0.472354726)),
+        PickPlace(1, 2, tuple(PUSH_Q[2]), (0.544300274, 0.296037746)),
+    ), TaskConfig()
+
+
+class TestGolden:
+    # sha256 of the golden corpus's quantized output states and ExecStats as
+    # the executor without the disc-test cull produced them; a change to the
+    # executor that moves it changes behaviour
+    DIGEST = "e0d72e638603130dde8d0b763df9fd388ff7a6803adfd5a314bb2d4c97653201"
+
+    # any positive cull allowance is exact; small ones make points fall back
+    # to testing every obstacle often and leave few obstacles near
+    @pytest.mark.parametrize("allowance", [None, 1e-4, 2e-3])
+    def test_outputs_unchanged(self, allowance, monkeypatch):
+        if allowance is not None:
+            monkeypatch.setattr(simulator, "_CULL_ALLOWANCE", allowance)
+        digest = hashlib.sha256()
+        count = 0
+        for state, action, config in golden_corpus():
+            out, stats = execute_with_stats(state, action, config)
+            digest.update(json.dumps([
+                out.to_obj(), stats.joint_clamps, stats.obstacle_pushes,
+                stats.workspace_clamps, stats.placement_conflicts,
+            ]).encode())
+            count += 1
+        assert count == 307
+        assert (stats.obstacle_pushes, stats.placement_conflicts,
+                stats.joint_clamps) == (484, 339, 1855)
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_budgets_bound_clearance_until_a_push(self, monkeypatch):
+        """Until a drag's first push, every clearance budget at the start of a
+        pass is at most the obstacle's true clearance, so the pass may cull by
+        it. `_near` is asked for the cull list only in that case. The pin is
+        left out of the clearance: the pass neither moves nor tests it, and
+        the backstop scan, which skips it, refreshes a budget without it (the
+        follower drag of the push-path action drags its pin through a
+        disc)."""
+        near = simulator._near
+        constrained_pass = simulator._constrained_pass
+        budgets = []
+        checked = 0
+
+        def recording_near(obstacles, current):
+            budgets[:] = current
+            return near(obstacles, current)
+
+        def checking_pass(xs, ys, pin, *args):
+            nonlocal checked
+            obstacles, mu, cull = args[-3:]
+            if cull is not None:
+                assert len(budgets) == len(obstacles)
+                points = [(x, y) for i, (x, y) in enumerate(zip(xs, ys))
+                          if i != pin]
+                points += [(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[i] + ys[i + 1]))
+                           for i in range(len(xs) - 1)]
+                for (ox, oy), budget in zip(obstacles, budgets):
+                    true = min(math.hypot(x - ox, y - oy) for x, y in points) - mu
+                    assert budget <= true + 1e-12
+                    checked += 1
+            return constrained_pass(xs, ys, pin, *args)
+
+        monkeypatch.setattr(simulator, "_near", recording_near)
+        monkeypatch.setattr(simulator, "_constrained_pass", checking_pass)
+        for state, action, config in golden_corpus():
+            execute(state, action, config)
+        assert checked > 100_000
 
 
 class TestGoalAndReward:
