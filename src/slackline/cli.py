@@ -15,6 +15,7 @@ from dataclasses import asdict, replace
 
 from .config import TaskConfig, TrainConfig, load_config_file
 from .encoder import (
+    MlpParams,
     ParamsFormatError,
     container_bytes,
     load_params,
@@ -65,6 +66,11 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(ValueError):
     pass
+
+
+class TaskMismatchError(ValueError):
+    """A dataset or model file was made for a different task than the one
+    in force."""
 
 
 def _load_configs(path: str | None) -> tuple[TaskConfig, TrainConfig]:
@@ -182,20 +188,51 @@ def _cmd_train_ae(args) -> int:
     return 0
 
 
-def _build_artifacts(args, dataset) -> EvalArtifacts:
+# The header fields that fix the state layout; the fields sweeps vary
+# (reach_max, obstacle_radius) may differ from the task in force.
+LAYOUT_FIELDS = ("keypoint_count", "obstacle_count", "workspace_width",
+                 "workspace_height")
+
+
+def _check_model(path: str, model: MlpParams | AeParams, task: TaskConfig):
+    input_dim = (task.keypoint_count + task.obstacle_count) * 2
+    if model.sizes[0] != input_dim:
+        raise TaskMismatchError(
+            f"{path}: input size sizes[0] = {model.sizes[0]}, the task in "
+            f"force gives {input_dim}"
+        )
+    if tuple(model.workspace) != (task.workspace_width, task.workspace_height):
+        raise TaskMismatchError(
+            f"{path}.json: workspace {list(model.workspace)}, the task in force "
+            f"has {[task.workspace_width, task.workspace_height]}"
+        )
+
+
+def _build_artifacts(args, dataset, task: TaskConfig) -> EvalArtifacts:
+    """The dataset and models of a run; TaskMismatchError naming the file
+    and the field if one of them does not fit `task`."""
+    for field in LAYOUT_FIELDS:
+        found, want = getattr(dataset.config, field), getattr(task, field)
+        if found != want:
+            raise TaskMismatchError(
+                f"{args.dataset}: header {field} = {found}, the task in force "
+                f"has {want} (pass the config it was collected with)"
+            )
     encoder = None
     ae = None
     if getattr(args, "encoder", None):
         encoder = _load_encoder_checked(args.encoder)
+        _check_model(args.encoder, encoder, task)
     if getattr(args, "autoencoder", None):
         ae = load_ae(args.autoencoder)
+        _check_model(args.autoencoder, ae, task)
     return EvalArtifacts(dataset, encoder, ae)
 
 
 def _cmd_run(args) -> int:
     task, _ = _load_configs(args.config)
     dataset = _load_dataset_checked(args.dataset)
-    artifacts = _build_artifacts(args, dataset)
+    artifacts = _build_artifacts(args, dataset, task)
     planner = make_planner(args.planner, artifacts, args.seed)
     controller = make_controller(args.controller, task)
     env = generate_env(task, derive_seed(args.seed, "env", 0))
@@ -221,7 +258,7 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     task, train_cfg = _load_configs(args.config)
     dataset = _load_dataset_checked(args.dataset)
-    artifacts = _build_artifacts(args, dataset)
+    artifacts = _build_artifacts(args, dataset, task)
     cells = _parse_matrix(args.matrix)
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
@@ -260,7 +297,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     task, train_cfg = _load_configs(args.config)
     dataset = _load_dataset_checked(args.dataset)
-    artifacts = _build_artifacts(args, dataset)
+    artifacts = _build_artifacts(args, dataset, task)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as err:
@@ -405,6 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         MalformedDatasetError,
         DatasetVersionError,
         ParamsFormatError,
+        TaskMismatchError,
         MissingModelError,
         GenerationError,
     ) as err:

@@ -194,17 +194,6 @@ class TrainReport:
     batch_losses: list[float]  # mean of minibatch losses within each epoch
 
 
-def _pair_indices(dataset: Dataset) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Flat state list as (episode, offset) plus episode id per flat index."""
-    flat = []
-    ep_ids = []
-    for j, ep in enumerate(dataset.episodes):
-        for t in range(len(ep.states)):
-            flat.append((j, t))
-            ep_ids.append(j)
-    return flat, np.asarray(ep_ids)
-
-
 def _grad_step(
     params: MlpParams,
     x: np.ndarray,
@@ -346,17 +335,13 @@ def train(
     input_dim = (task.keypoint_count + task.obstacle_count) * 2
     params = init_params(input_dim, cfg.embed_dim, workspace, cfg.seed, hidden)
 
-    flat, ep_ids = _pair_indices(dataset)
-    all_states = [dataset.episodes[j].states[t] for j, t in flat]
-    x_all = states_matrix(all_states, workspace, input_dim)
-    n = len(flat)
+    states, ep_ids, steps = dataset.state_table()
+    x_all = states_matrix(states, workspace, input_dim)
+    n = len(states)
 
     # per-episode flat index ranges for positive sampling
-    ep_ranges: list[tuple[int, int]] = []
-    start = 0
-    for ep in dataset.episodes:
-        ep_ranges.append((start, start + len(ep.states)))
-        start += len(ep.states)
+    starts = np.flatnonzero(steps == 0).tolist()
+    ep_ranges = list(zip(starts, starts[1:] + [n]))
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x747261]))
 

@@ -107,13 +107,16 @@ class Dataset:
     goal_pool: tuple[EnvState, ...]
     config: TaskConfig
 
-    def states(self) -> list[tuple[int, int, EnvState]]:
-        """All states as (episode index, step index, state), in order."""
-        out = []
-        for j, ep in enumerate(self.episodes):
-            for t, s in enumerate(ep.states):
-                out.append((j, t, s))
-        return out
+    def state_table(self) -> tuple[list[EnvState], np.ndarray, np.ndarray]:
+        """Every state in (episode, step) order, with the episode index and
+        the step index of each row."""
+        lengths = [len(ep.states) for ep in self.episodes]
+        episode = np.repeat(np.arange(len(lengths)), lengths)
+        step = np.arange(len(episode)) - np.searchsorted(episode, episode)
+        return [s for ep in self.episodes for s in ep.states], episode, step
+
+    def achieved_goals(self) -> tuple[EnvState, ...]:
+        return tuple(ep.achieved_goal for ep in self.episodes)
 
 
 @dataclass

@@ -78,7 +78,7 @@ class EvalArtifacts:
 
 
 def make_planner(name: str, artifacts: EvalArtifacts, seed: int):
-    goals = tuple(ep.achieved_goal for ep in artifacts.dataset.episodes)
+    goals = artifacts.dataset.achieved_goals()
     if name == "contrastive":
         index = artifacts.require_index()
         return ContrastivePlanner(index, artifacts.encoder)

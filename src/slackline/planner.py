@@ -12,20 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .config import TrainConfig
-from .encoder import (
-    HIDDEN,
-    Adam,
-    MlpParams,
-    encode,
-    encode_batch,
-    init_params,
-    params_digest,
-    states_matrix,
-)
+from .encoder import HIDDEN, Adam, MlpParams, encode, encode_batch, states_matrix
 from .explore import Dataset
 from .simulator import EnvState
 
@@ -36,40 +28,42 @@ class EmptyIndexError(ValueError):
 
 @dataclass
 class EmbeddingIndex:
-    """One row per dataset state: unit embedding plus (episode, step), with
-    per-episode achieved goals and the digest of the encoder that built it."""
+    """One row per dataset state, in (episode, step) order: the state as a
+    planner embeds it (the encoder's unit embedding, the raw q||o vector or
+    the autoencoder latent) and its (episode, step), with the per-episode
+    achieved goals."""
 
     embeddings: np.ndarray
     episode_idx: np.ndarray
     step_idx: np.ndarray
     goals: tuple[EnvState, ...]
-    encoder_digest: str
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
 
+    def lookup(self, row: int) -> tuple[EnvState, tuple[int, int]]:
+        """(the row's episode's achieved goal, (episode, step))."""
+        j = int(self.episode_idx[row])
+        return self.goals[j], (j, int(self.step_idx[row]))
+
+
+def _index_states(
+    dataset: Dataset, embed: Callable[[list[EnvState]], np.ndarray]
+) -> EmbeddingIndex:
+    """Index every dataset state; `embed` maps a state list to one row each."""
+    if not dataset.episodes:
+        raise EmptyIndexError("dataset has no episodes")
+    states, episode_idx, step_idx = dataset.state_table()
+    return EmbeddingIndex(
+        embed(states), episode_idx, step_idx, dataset.achieved_goals()
+    )
+
 
 def build_index(dataset: Dataset, params: MlpParams) -> EmbeddingIndex:
     """Encode every state of every episode, in (episode, step) order."""
-    if not dataset.episodes:
-        raise EmptyIndexError("dataset has no episodes")
-    states = []
-    ep_idx = []
-    st_idx = []
-    for j, ep in enumerate(dataset.episodes):
-        for t, s in enumerate(ep.states):
-            states.append(s)
-            ep_idx.append(j)
-            st_idx.append(t)
-    x = states_matrix(states, params.workspace, params.input_dim)
-    z = encode_batch(params, x)
-    return EmbeddingIndex(
-        z,
-        np.asarray(ep_idx),
-        np.asarray(st_idx),
-        tuple(ep.achieved_goal for ep in dataset.episodes),
-        params_digest(params),
-    )
+    return _index_states(dataset, lambda states: encode_batch(
+        params, states_matrix(states, params.workspace, params.input_dim)
+    ))
 
 
 def retrieve(
@@ -80,17 +74,23 @@ def retrieve(
     smallest (episode, step), which is the first index row."""
     if len(index) == 0:
         raise EmptyIndexError("empty embedding index")
-    z = encode(params, query)
-    best = int(np.argmax(index.embeddings @ z))
-    j = int(index.episode_idx[best])
-    t = int(index.step_idx[best])
-    return index.goals[j], (j, t)
+    return index.lookup(int(np.argmax(index.embeddings @ encode(params, query))))
 
 
-def plan_subgoal(
-    index: EmbeddingIndex, params: MlpParams, query: EnvState
-) -> EnvState:
-    return retrieve(index, params, query)[0]
+class _NearestL2:
+    """Shared by the planners that retrieve the row nearest to the embedded
+    query in squared L2 distance, expanded as |r|^2 - 2 r.v + |v|^2."""
+
+    def __init__(self, index: EmbeddingIndex) -> None:
+        self.index = index
+        self.sq_norms = np.einsum("nd,nd->n", index.embeddings, index.embeddings)
+
+    def reset(self, episode_seed: int) -> None:
+        pass
+
+    def nearest(self, v: np.ndarray) -> tuple[EnvState, tuple[int, int]]:
+        d2 = self.sq_norms - 2.0 * (self.index.embeddings @ v) + v @ v
+        return self.index.lookup(int(np.argmin(d2)))
 
 
 class ContrastivePlanner:
@@ -104,8 +104,7 @@ class ContrastivePlanner:
         pass
 
     def plan(self, state: EnvState) -> tuple[EnvState, tuple[int, int] | None]:
-        goal, ident = retrieve(self.index, self.params, state)
-        return goal, ident
+        return retrieve(self.index, self.params, state)
 
 
 class FixedPlanner:
@@ -149,37 +148,22 @@ class RandomPlanner:
         return self.goals[self.choice], (self.choice, None)
 
 
-class TemplatePlanner:
+def _raw(state: EnvState) -> np.ndarray:
+    return np.concatenate([state.q.ravel(), state.o.ravel()])
+
+
+class TemplatePlanner(_NearestL2):
     """Nearest stored state by geometric-space L2 distance."""
 
     name = "template"
 
     def __init__(self, dataset: Dataset) -> None:
-        if not dataset.episodes:
-            raise EmptyIndexError("dataset has no episodes")
-        flats = []
-        ep_idx = []
-        st_idx = []
-        for j, ep in enumerate(dataset.episodes):
-            for t, s in enumerate(ep.states):
-                flats.append(np.concatenate([s.q.ravel(), s.o.ravel()]))
-                ep_idx.append(j)
-                st_idx.append(t)
-        self.flat = np.stack(flats)
-        self.sq_norms = np.einsum("nd,nd->n", self.flat, self.flat)
-        self.episode_idx = np.asarray(ep_idx)
-        self.step_idx = np.asarray(st_idx)
-        self.goals = tuple(ep.achieved_goal for ep in dataset.episodes)
-
-    def reset(self, episode_seed: int) -> None:
-        pass
+        super().__init__(_index_states(
+            dataset, lambda states: np.stack([_raw(s) for s in states])
+        ))
 
     def plan(self, state: EnvState) -> tuple[EnvState, tuple[int, int] | None]:
-        v = np.concatenate([state.q.ravel(), state.o.ravel()])
-        d2 = self.sq_norms - 2.0 * (self.flat @ v) + v @ v
-        best = int(np.argmin(d2))
-        j = int(self.episode_idx[best])
-        return self.goals[j], (j, int(self.step_idx[best]))
+        return self.nearest(_raw(state))
 
 
 # Autoencoder ablation: mirrored architecture, raw (unnormalized) latent,
@@ -243,8 +227,7 @@ def train_autoencoder(dataset: Dataset, cfg: TrainConfig) -> AeReport:
     input_dim = (task.keypoint_count + task.obstacle_count) * 2
     params = init_autoencoder(input_dim, cfg.embed_dim, workspace, cfg.seed)
 
-    states = [s for ep in dataset.episodes for s in ep.states]
-    x_all = states_matrix(states, workspace, input_dim)
+    x_all = states_matrix(dataset.state_table()[0], workspace, input_dim)
     n = x_all.shape[0]
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x616574]))
@@ -276,37 +259,19 @@ def train_autoencoder(dataset: Dataset, cfg: TrainConfig) -> AeReport:
     return AeReport(params, losses)
 
 
-class AutoencoderPlanner:
+class AutoencoderPlanner(_NearestL2):
     """Nearest stored state by L2 distance in the autoencoder latent space."""
 
     name = "autoencoder"
 
     def __init__(self, ae: AeParams, dataset: Dataset) -> None:
-        if not dataset.episodes:
-            raise EmptyIndexError("dataset has no episodes")
-        states = []
-        ep_idx = []
-        st_idx = []
-        for j, ep in enumerate(dataset.episodes):
-            for t, s in enumerate(ep.states):
-                states.append(s)
-                ep_idx.append(j)
-                st_idx.append(t)
-        x = states_matrix(states, ae.workspace, ae.sizes[0])
         self.ae = ae
-        self.latents = ae.encode_batch(x)
-        self.sq_norms = np.einsum("nd,nd->n", self.latents, self.latents)
-        self.episode_idx = np.asarray(ep_idx)
-        self.step_idx = np.asarray(st_idx)
-        self.goals = tuple(ep.achieved_goal for ep in dataset.episodes)
+        super().__init__(_index_states(dataset, self.latents))
 
-    def reset(self, episode_seed: int) -> None:
-        pass
+    def latents(self, states: list[EnvState]) -> np.ndarray:
+        return self.ae.encode_batch(
+            states_matrix(states, self.ae.workspace, self.ae.sizes[0])
+        )
 
     def plan(self, state: EnvState) -> tuple[EnvState, tuple[int, int] | None]:
-        x = states_matrix([state], self.ae.workspace, self.ae.sizes[0])
-        z = self.ae.encode_batch(x)[0]
-        d2 = self.sq_norms - 2.0 * (self.latents @ z) + z @ z
-        best = int(np.argmin(d2))
-        j = int(self.episode_idx[best])
-        return self.goals[j], (j, int(self.step_idx[best]))
+        return self.nearest(self.latents([state])[0])

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +117,72 @@ class TestAutoencoderFileChecks:
         ae_copy.write_bytes(ae_copy.read_bytes() + b"\x00" * 8)
         assert self.eval_with(ae_copy, dataset_path, tmp_path / "r") == 2
         assert f"{ae_copy}: trailing" in capsys.readouterr().err
+
+
+class TestTaskFit:
+    """run, eval and sweep refuse a dataset or a model made for another task
+    than the one in force: exit 2, with a message naming the file and the
+    field."""
+
+    @staticmethod
+    def header_copy(tmp_path, dataset, **fields) -> str:
+        path = tmp_path / "ds.jsonl"
+        save_dataset(replace(dataset, config=replace(dataset.config, **fields)),
+                     str(path))
+        return str(path)
+
+    @staticmethod
+    def sidecar_copy(tmp_path, path, **fields) -> str:
+        copy = tmp_path / os.path.basename(path)
+        shutil.copyfile(path, copy)
+        with open(path + ".json", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        sidecar.update(fields)
+        (tmp_path / (copy.name + ".json")).write_text(json.dumps(sidecar))
+        return str(copy)
+
+    @pytest.mark.parametrize("field,value", [
+        ("obstacle_count", 5), ("keypoint_count", 12),
+        ("workspace_width", 1.2), ("workspace_height", 0.7),
+    ])
+    def test_dataset_header(self, tmp_path, capsys, small_dataset, field, value):
+        path = self.header_copy(tmp_path, small_dataset, **{field: value})
+        code = run_cli("run", "--dataset", path, "--planner", "template",
+                       "--seed", "1")
+        assert code == 2
+        assert f"{path}: header {field} = {value}" in capsys.readouterr().err
+
+    def test_swept_fields_may_differ(self, tmp_path, small_dataset):
+        path = self.header_copy(tmp_path, small_dataset, reach_max=0.5,
+                                obstacle_radius=0.05)
+        code = run_cli("run", "--dataset", path, "--planner", "template",
+                       "--seed", "1", "--out", str(tmp_path / "r.json"))
+        assert code == 0
+
+    @pytest.mark.parametrize("flag", ["--encoder", "--autoencoder"])
+    def test_model_input_size(self, tmp_path, capsys, small_dataset, flag,
+                              encoder_path, autoencoder_path):
+        model = encoder_path if flag == "--encoder" else autoencoder_path
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": {"obstacle_count": 5}}))
+        path = self.header_copy(tmp_path, small_dataset, obstacle_count=5)
+        code = run_cli("eval", "--config", str(cfg), "--dataset", path,
+                       flag, model, "--matrix", "fixed:leader-follower",
+                       "--episodes", "1", "--out", str(tmp_path / "r"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{model}: input size sizes[0] = 40, the task in force gives 42" in err
+
+    @pytest.mark.parametrize("flag", ["--encoder", "--autoencoder"])
+    def test_model_workspace(self, tmp_path, capsys, dataset_path, flag,
+                             encoder_path, autoencoder_path):
+        model = encoder_path if flag == "--encoder" else autoencoder_path
+        copy = self.sidecar_copy(tmp_path, model, workspace=[1.2, 0.6])
+        code = run_cli("sweep", "--dataset", dataset_path, flag, copy,
+                       "--param", "reach_max", "--values", "0.45",
+                       "--episodes", "1", "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"{copy}.json: workspace [1.2, 0.6]" in capsys.readouterr().err
 
 
 class TestRun:
