@@ -7,6 +7,7 @@ names the offending file), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -97,10 +98,19 @@ AE_MAGIC = b"SLAE"
 AE_VERSION = 1
 
 
+def _ae_container(ae: AeParams) -> bytes:
+    return container_bytes(AE_MAGIC, AE_VERSION, ae.sizes, (ae.latent_layer,),
+                           ae.weights, ae.biases)
+
+
+def _ae_digest(ae: AeParams | None) -> str | None:
+    """sha256 of the autoencoder's file container, None without one."""
+    return None if ae is None else hashlib.sha256(_ae_container(ae)).hexdigest()
+
+
 def _save_ae(ae: AeParams, path: str, cfg: TrainConfig) -> None:
     with open(path, "wb") as fh:
-        fh.write(container_bytes(AE_MAGIC, AE_VERSION, ae.sizes,
-                                 (ae.latent_layer,), ae.weights, ae.biases))
+        fh.write(_ae_container(ae))
     write_sidecar(path, ae.workspace, train=asdict(cfg))
 
 
@@ -285,6 +295,7 @@ def _cmd_eval(args) -> int:
         cells=cells,
         train=train_cfg,
         encoder=artifacts.encoder,
+        autoencoder_digest=_ae_digest(artifacts.autoencoder),
         dataset_path=args.dataset,
         extra={"episodes": args.episodes, "workers": args.workers,
                "elapsed_seconds": round(dt, 3)},
@@ -324,6 +335,7 @@ def _cmd_sweep(args) -> int:
         result.env_seeds,
         train=train_cfg,
         encoder=artifacts.encoder,
+        autoencoder_digest=_ae_digest(artifacts.autoencoder),
         dataset_path=args.dataset,
         extra={
             "sweep_param": args.param,

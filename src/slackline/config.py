@@ -105,13 +105,38 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
 
 
-def _apply_fields(cfg: Any, data: dict[str, Any], source: str) -> Any:
+def _fits(value: Any, default: Any) -> bool:
+    """Whether a JSON value has the type of a field's default: an int (not
+    a bool) for an int, an int or a float for a float, and a list of the
+    default's length whose items fit for a tuple."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_fits(v, d) for v, d in zip(value, default)))
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _apply_fields(cfg: Any, data: Any, source: str) -> Any:
+    if not isinstance(data, dict):
+        raise ValueError(f"{source}: block must be a JSON object")
     known = set(asdict(cfg))
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"{source}: unknown field(s) {sorted(unknown)}")
     coerced: dict[str, Any] = {}
     for key, value in data.items():
+        default = getattr(cfg, key)
+        if not _fits(value, default):
+            kind = ("a list shaped like" if isinstance(default, tuple) else
+                    "a number like" if isinstance(default, float) else
+                    "an integer like")
+            raise ValueError(
+                f"{source}: field {key!r} must be {kind} its default "
+                f"{json.dumps(default)}, got {json.dumps(value)}"
+            )
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         coerced[key] = value

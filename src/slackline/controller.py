@@ -24,10 +24,6 @@ from .simulator import ActionPair, EnvState, PickPlace, quantize
 CONVERGED = 1e-6
 
 
-def _obstacle_tuples(state: EnvState) -> list[tuple[float, float]]:
-    return [(float(x), float(y)) for x, y in state.o]
-
-
 def make_pickplace(
     arm_id: int, k: int, state: EnvState, place: tuple[float, float]
 ) -> PickPlace:
@@ -59,7 +55,7 @@ def clipped_place(
 def _arm_feasible(
     state: EnvState,
     config: TaskConfig,
-    obstacles: list[tuple[float, float]],
+    obstacles: list[list[float]],
     arm_id: int,
     k: int,
     place: tuple[float, float],
@@ -85,7 +81,7 @@ def feasible_correspondence_actions(
     """All feasible (arm, keypoint, place) correspondence actions toward the
     subgoal, in (keypoint, arm) order."""
     out: list[tuple[int, int, tuple[float, float]]] = []
-    obstacles = _obstacle_tuples(state)
+    obstacles = state.o.tolist()
     q = state.q
     g = subgoal.q
     for k in range(q.shape[0]):
@@ -118,7 +114,7 @@ def leader_select(
     order = np.argsort(
         np.hypot(q[:, 0] - q[top, 0], q[:, 1] - q[top, 1]), kind="stable"
     )
-    obstacles = _obstacle_tuples(state)
+    obstacles = state.o.tolist()
     for k in map(int, order):
         place = clipped_place(
             state, k, float(g[k, 0] - q[k, 0]), float(g[k, 1] - q[k, 1]),
@@ -160,7 +156,7 @@ def follower_select(
     m = q.shape[0]
     dists = np.hypot(q[:, 0] - q[leader_k, 0], q[:, 1] - q[leader_k, 1])
     order = np.argsort(-dists, kind="stable")
-    obstacles = _obstacle_tuples(state)
+    obstacles = state.o.tolist()
     follower_arm = 3 - leader_arm
     for k in map(int, order):
         if dists[k] <= config.min_pick_separation:

@@ -136,7 +136,7 @@ def _arbitrary_action(
     """Random feasible single-arm drag with arbitrary direction and
     magnitude; None when no feasible candidate shows up."""
     m = state.keypoint_count
-    obstacles = [(float(x), float(y)) for x, y in state.o]
+    obstacles = state.o.tolist()
     for _ in range(ARBITRARY_TRIES):
         k = int(rng.integers(m))
         arm_id = int(rng.integers(1, 3))

@@ -96,17 +96,18 @@ def sequence_feasible_xy(
     base_y: float,
     reach_min: float,
     reach_max: float,
-    obstacles_xy: Sequence[tuple[float, float]],
+    obstacles_xy: Sequence[Sequence[float]],
     clearance: float,
 ) -> bool:
     """Swept-segment feasibility against one arm annulus and shared-clearance
-    obstacles; the continuous check, not a sampled one."""
-    if seg_point_min_dist_xy(ax, ay, bx, by, base_x, base_y) <= reach_min:
+    obstacles; the continuous check, not a sampled one. Each test is written
+    as "not strictly inside" so that a NaN coordinate is infeasible."""
+    if not seg_point_min_dist_xy(ax, ay, bx, by, base_x, base_y) > reach_min:
         return False
-    if seg_point_max_dist_xy(ax, ay, bx, by, base_x, base_y) >= reach_max:
+    if not seg_point_max_dist_xy(ax, ay, bx, by, base_x, base_y) < reach_max:
         return False
     for ox, oy in obstacles_xy:
-        if seg_point_min_dist_xy(ax, ay, bx, by, ox, oy) <= clearance:
+        if not seg_point_min_dist_xy(ax, ay, bx, by, ox, oy) > clearance:
             return False
     return True
 
@@ -132,14 +133,9 @@ def seg_point_max_dist(seg: Segment, p: Point) -> float:
 
 def waypoint_valid(p: Point, arm: ArmSpec, obstacles: Sequence[Obstacle]) -> bool:
     """True iff p lies strictly inside the arm's reach annulus and strictly
-    farther than every obstacle's clearance from its center."""
-    d = math.hypot(p.x - arm.base.x, p.y - arm.base.y)
-    if not arm.reach_min < d < arm.reach_max:
-        return False
-    for ob in obstacles:
-        if math.hypot(p.x - ob.center.x, p.y - ob.center.y) <= ob.clearance:
-            return False
-    return True
+    farther than every obstacle's clearance from its center: the swept
+    segment of a drag that does not move."""
+    return sequence_feasible(Segment(p, p), arm, obstacles)
 
 
 def sequence_feasible(
@@ -149,13 +145,9 @@ def sequence_feasible(
     arm: min distance to the base exceeds reach_min, max distance stays under
     reach_max, and min distance to each obstacle center exceeds its clearance.
     """
-    ax, ay = seg.p1
-    bx, by = seg.p2
-    if seg_point_min_dist_xy(ax, ay, bx, by, arm.base.x, arm.base.y) <= arm.reach_min:
-        return False
-    if seg_point_max_dist_xy(ax, ay, bx, by, arm.base.x, arm.base.y) >= arm.reach_max:
-        return False
-    for ob in obstacles:
-        if seg_point_min_dist_xy(ax, ay, bx, by, ob.center.x, ob.center.y) <= ob.clearance:
-            return False
-    return True
+    (ax, ay), (bx, by) = seg
+    drag = (ax, ay, bx, by, arm.base.x, arm.base.y, arm.reach_min, arm.reach_max)
+    # each obstacle carries its own clearance
+    return sequence_feasible_xy(*drag, (), 0.0) and all(
+        sequence_feasible_xy(*drag, (ob.center,), ob.clearance) for ob in obstacles
+    )

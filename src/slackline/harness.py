@@ -13,7 +13,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .config import TaskConfig, TrainConfig, config_digest
@@ -60,12 +60,15 @@ class MissingModelError(ValueError):
 
 @dataclass
 class EvalArtifacts:
-    """Trained models and dataset shared by every cell of a run."""
+    """Trained models and dataset shared by every cell of a run, and the
+    retrieval planners built from them. Those keep no per-episode state and
+    do not depend on the seed, so each is built once, by `make_planner`."""
 
     dataset: Dataset
     encoder: MlpParams | None = None
     autoencoder: AeParams | None = None
     index: EmbeddingIndex | None = None
+    retrieval: dict[str, object] = field(default_factory=dict)
 
     def require_index(self) -> EmbeddingIndex:
         if self.index is None:
@@ -78,14 +81,20 @@ class EvalArtifacts:
 
 
 def make_planner(name: str, artifacts: EvalArtifacts, seed: int):
-    goals = artifacts.dataset.achieved_goals()
-    if name == "contrastive":
-        index = artifacts.require_index()
-        return ContrastivePlanner(index, artifacts.encoder)
     if name == "fixed":
-        return FixedPlanner(goals, derive_seed(seed, "fixed-planner"))
+        return FixedPlanner(artifacts.dataset.achieved_goals(),
+                            derive_seed(seed, "fixed-planner"))
     if name == "random":
-        return RandomPlanner(goals, derive_seed(seed, "random-planner"))
+        return RandomPlanner(artifacts.dataset.achieved_goals(),
+                             derive_seed(seed, "random-planner"))
+    if name not in artifacts.retrieval:
+        artifacts.retrieval[name] = _retrieval_planner(name, artifacts)
+    return artifacts.retrieval[name]
+
+
+def _retrieval_planner(name: str, artifacts: EvalArtifacts):
+    if name == "contrastive":
+        return ContrastivePlanner(artifacts.require_index(), artifacts.encoder)
     if name == "template":
         return TemplatePlanner(artifacts.dataset)
     if name == "autoencoder":
@@ -218,29 +227,20 @@ def _episode_task(args: tuple[int, int, int]) -> list[EpisodeResult]:
     return out
 
 
-def run_cells(
+def evaluate(
     cells: list[tuple[str, str]],
     n_episodes: int,
     config: TaskConfig,
     seed: int,
     artifacts: EvalArtifacts,
     workers: int = 1,
-) -> tuple[list[list[EpisodeResult]], list[int]]:
-    """Run every cell on the same env seed list; returns (per-cell episode
-    results, env seeds)."""
-    for planner_name, controller_name in cells:
-        if planner_name not in PLANNER_NAMES:
-            raise UnknownCellError(
-                f"unknown planner {planner_name!r}; valid: "
-                f"{', '.join(PLANNER_NAMES)}"
-            )
-        if controller_name not in CONTROLLER_NAMES:
-            raise UnknownCellError(
-                f"unknown controller {controller_name!r}; valid: "
-                f"{', '.join(CONTROLLER_NAMES)}"
-            )
-    planners = [make_planner(p, artifacts, seed) for p, _ in cells]
+) -> tuple[MetricsTable, list[list[EpisodeResult]]]:
+    """Run every cell on the same env seed list; returns (the metrics
+    table, per-cell episode results)."""
+    if n_episodes < 1:
+        raise ValueError("episodes must be >= 1")
     controllers = [make_controller(c, config) for _, c in cells]
+    planners = [make_planner(p, artifacts, seed) for p, _ in cells]
     env_seeds = [derive_seed(seed, "env", i) for i in range(n_episodes)]
     episode_seeds = [derive_seed(seed, "episode", i) for i in range(n_episodes)]
     tasks = list(zip(range(n_episodes), env_seeds, episode_seeds))
@@ -253,25 +253,11 @@ def run_cells(
         with ctx.Pool(processes=workers) as pool:
             rows = pool.map(_episode_task, tasks, chunksize=8)
     per_cell = [[row[c] for row in rows] for c in range(len(cells))]
-    return per_cell, env_seeds
-
-
-def evaluate(
-    cells: list[tuple[str, str]],
-    n_episodes: int,
-    config: TaskConfig,
-    seed: int,
-    artifacts: EvalArtifacts,
-    workers: int = 1,
-) -> tuple[MetricsTable, list[list[EpisodeResult]]]:
-    per_cell, env_seeds = run_cells(
-        cells, n_episodes, config, seed, artifacts, workers
-    )
-    rows = [
+    metrics = [
         summarize(p, c, results, config.horizon_max)
         for (p, c), results in zip(cells, per_cell)
     ]
-    return MetricsTable(rows, env_seeds), per_cell
+    return MetricsTable(metrics, env_seeds), per_cell
 
 
 SWEEP_PARAMS = ("reach_max", "obstacle_radius")
@@ -325,11 +311,10 @@ def sweep(
     seed: int,
     artifacts: EvalArtifacts,
     workers: int = 1,
-    cell: tuple[str, str] = ("contrastive", "leader-follower"),
 ) -> tuple[SweepResult, list[list[EpisodeResult]]]:
-    """Success rate of one cell as a function of a task parameter, with the
-    same seed list at every point; each point runs under
-    sweep_config(config, param, value)."""
+    """Success rate of the contrastive leader-follower cell as a function
+    of a task parameter, with the same seed list at every point; each point
+    runs under sweep_config(config, param, value)."""
     if param not in SWEEP_PARAMS:
         raise UnknownCellError(
             f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}"
@@ -341,8 +326,8 @@ def sweep(
     env_seeds: list[int] = []
     for v in values:
         table, per_cell = evaluate(
-            [cell], n_episodes, sweep_config(config, param, v), seed, artifacts,
-            workers,
+            [("contrastive", "leader-follower")], n_episodes,
+            sweep_config(config, param, v), seed, artifacts, workers,
         )
         points.append(SweepPoint(float(v), table.rows[0]))
         all_results.append(per_cell[0])
@@ -389,6 +374,7 @@ def write_run_manifest(
     cells: Iterable[tuple[str, str]] | None = None,
     train: TrainConfig | None = None,
     encoder: MlpParams | None = None,
+    autoencoder_digest: str | None = None,
     dataset_path: str | None = None,
     extra: dict | None = None,
 ) -> None:
@@ -402,6 +388,7 @@ def write_run_manifest(
         "env_seeds": env_seeds,
         "cells": [list(c) for c in cells] if cells is not None else None,
         "encoder_digest": params_digest(encoder) if encoder is not None else None,
+        "autoencoder_digest": autoencoder_digest,
         "dataset_path": dataset_path,
     }
     if extra:

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import TaskConfig
-from .geometry import Obstacle, Point, Segment, sequence_feasible
+from .geometry import Obstacle, Point, Segment, sequence_feasible_xy
 
 SUBSTEPS = 64
 PROJECTION_ITERS = 10
@@ -193,25 +193,15 @@ class ExecStats:
 
 def goal_reached(state: EnvState, config: TaskConfig) -> bool:
     """True iff endpoint 1 is a valid waypoint for arm 1 and endpoint M for
-    arm 2."""
-    q = state.q
-    return _waypoint_valid_fast(
-        float(q[0, 0]), float(q[0, 1]), config, 1, state
-    ) and _waypoint_valid_fast(float(q[-1, 0]), float(q[-1, 1]), config, 2, state)
-
-
-def _waypoint_valid_fast(
-    px: float, py: float, config: TaskConfig, arm_id: int, state: EnvState
-) -> bool:
-    bx, by = config.arm_bases[arm_id - 1]
-    d = math.hypot(px - bx, py - by)
-    if not config.reach_min < d < config.reach_max:
-        return False
-    clearance = config.obstacle_clearance
-    for ox, oy in state.o:
-        if math.hypot(px - ox, py - oy) <= clearance:
-            return False
-    return True
+    arm 2: the swept segment of a drag that does not move."""
+    obstacles = state.o.tolist()
+    return all(
+        sequence_feasible_xy(
+            x, y, x, y, *config.arm_bases[arm_id - 1], config.reach_min,
+            config.reach_max, obstacles, config.obstacle_clearance,
+        )
+        for arm_id, (x, y) in ((1, state.q[0].tolist()), (2, state.q[-1].tolist()))
+    )
 
 
 def reward(next_state: EnvState, config: TaskConfig) -> int:
@@ -262,7 +252,7 @@ def execute_with_stats(
 
 def _validate_action(state: EnvState, action: ActionPair, config: TaskConfig) -> None:
     m = state.keypoint_count
-    obstacles = state.obstacles(config)
+    obstacles = state.o.tolist()
     for pp in action.sequences():
         if not 0 <= pp.pick_index < m:
             raise InfeasibleActionError(
@@ -278,7 +268,11 @@ def _validate_action(state: EnvState, action: ActionPair, config: TaskConfig) ->
                 f"displacement {pp.displacement():.6f} exceeds max step "
                 f"{config.max_step}"
             )
-        if not sequence_feasible(pp.segment(), config.arm(pp.arm_id), obstacles):
+        if not sequence_feasible_xy(
+            *pp.pick, *pp.place, *config.arm_bases[pp.arm_id - 1],
+            config.reach_min, config.reach_max, obstacles,
+            config.obstacle_clearance,
+        ):
             raise InfeasibleActionError(
                 f"swept segment {pp.pick}->{pp.place} infeasible for arm {pp.arm_id}"
             )
@@ -322,16 +316,18 @@ def _drag(
     `budgets` holds one lower bound per obstacle on the clearance of every
     keypoint but the pin and of every link midpoint (the pass neither moves
     nor tests the pin, and the backstop skips it). A budget is measured at
-    the start and by each backstop scan that pushes nothing, and charged
-    with the pin's increment, each pass's displacement bound and the
-    displacement of every push. Each pass gets the obstacles whose budget is
-    within _CULL_ALLOWANCE and skips the disc tests of the others while a
-    point moves less than that (see `_constrained_pass`). A scan that pushes
-    restarts its obstacle's budget at zero without measuring it, and a push
-    can leave a point inside the disc (by up to the contact tolerance, or
-    more when a later push of the same scan moves it), so after a drag's
-    first push the budgets stop being proven bounds: every later pass of
-    the drag tests every obstacle.
+    the start and by each backstop scan that pushes nothing. Both
+    measurements count the pin too (a scan whenever the pin lies outside
+    the deep radius); that can only lower them, so they stay bounds. A
+    budget is charged with the pin's increment, each pass's displacement
+    bound and the displacement of every push. Each pass gets the obstacles
+    whose budget is within _CULL_ALLOWANCE and skips the disc tests of the
+    others while a point moves less than that (see `_constrained_pass`).
+    A scan that pushes restarts its obstacle's budget at zero without
+    measuring it, and a push can leave a point inside the disc (by up to
+    the contact tolerance, or more when a later push of the same scan moves
+    it), so after a drag's first push the budgets stop being proven bounds:
+    every later pass of the drag tests every obstacle.
     """
     x0 = xs[pin]
     y0 = ys[pin]
@@ -347,8 +343,23 @@ def _drag(
     # backstop scans touch an obstacle only when accumulated motion may have
     # consumed its budget (scanning a clean obstacle never moves points, so
     # skipping it cannot change the result)
-    budgets = [_obstacle_margin(xs, ys, [c], mu) for c in obstacles]
-    pushed = False
+    budgets = [_obstacle_margin(xs, ys, c, mu) for c in obstacles]
+    pushes_before = stats.obstacle_pushes
+
+    # one constrained pass, culled until this drag pushes; returns its
+    # displacement bound, charged to every budget, and its conflict count
+    def project() -> tuple[float, int]:
+        max_move, conflicts, cone = _constrained_pass(
+            xs, ys, pin, link_len, cos_lim, sin_lim, dot_lim,
+            width, height, obstacles, mu,
+            None if stats.obstacle_pushes > pushes_before
+            else _near(obstacles, budgets),
+        )
+        stats.joint_clamps += cone
+        stats.placement_conflicts += conflicts
+        for b in range(len(budgets)):
+            budgets[b] -= max_move
+        return max_move, conflicts
 
     inv = 1.0 / SUBSTEPS
     step_x = tx - x0
@@ -372,36 +383,16 @@ def _drag(
             budgets[b] -= moved
 
         for _ in range(PROJECTION_ITERS):
-            max_move, conflicts, cone = _constrained_pass(
-                xs, ys, pin, link_len, cos_lim, sin_lim, dot_lim,
-                width, height, obstacles, mu,
-                None if pushed else _near(obstacles, budgets),
-            )
-            stats.joint_clamps += cone
-            stats.placement_conflicts += conflicts
-            for b in range(len(budgets)):
-                budgets[b] -= max_move
-            pushes = _backstop(xs, ys, pin, obstacles, budgets, mu)
-            stats.obstacle_pushes += pushes
-            pushed = pushed or pushes > 0
+            max_move, conflicts = project()
+            pushes = _backstop(xs, ys, pin, obstacles, budgets, mu, stats)
             if not pushes and (not conflicts or max_move <= _CONVERGED):
                 break
 
     # settle: rounds end with the constrained pass, so the chain leaves the
     # drag with exact lengths and in-cone bends
     for _ in range(SETTLE_ITERS):
-        pushes = _backstop(xs, ys, pin, obstacles, budgets, mu)
-        stats.obstacle_pushes += pushes
-        pushed = pushed or pushes > 0
-        max_move, conflicts, cone = _constrained_pass(
-            xs, ys, pin, link_len, cos_lim, sin_lim, dot_lim,
-            width, height, obstacles, mu,
-            None if pushed else _near(obstacles, budgets),
-        )
-        stats.joint_clamps += cone
-        stats.placement_conflicts += conflicts
-        for b in range(len(budgets)):
-            budgets[b] -= max_move
+        pushes = _backstop(xs, ys, pin, obstacles, budgets, mu, stats)
+        max_move, _ = project()
         if not pushes and max_move <= _CONVERGED:
             break
 
@@ -415,21 +406,23 @@ def _backstop(
     obstacles: list[tuple[float, float]],
     budgets: list[float],
     mu: float,
+    stats: ExecStats,
 ) -> int:
     """Scan every obstacle whose budget is used up: push what lies inside
     it, refresh its budget, and charge the push displacement to every other
-    budget. Returns the push count."""
+    budget. Adds the pushes to `stats` and returns their count."""
     pushes = 0
     for b in range(len(budgets)):
         if budgets[b] <= 0.0:
             p, budgets[b], shifted = _resolve_obstacles(
-                xs, ys, pin, [obstacles[b]], mu
+                xs, ys, pin, obstacles[b], mu
             )
             if p:
                 pushes += p
                 for other in range(len(budgets)):
                     if other != b:
                         budgets[other] -= shifted
+    stats.obstacle_pushes += pushes
     return pushes
 
 
@@ -566,12 +559,22 @@ def _constrained_pass(
                 else:
                     ux = dx / d
                     uy = dy / d
-            nx = prev_x + ux * link_len
-            ny = prev_y + uy * link_len
+            # the candidate: the direction itself inside the cone, else the
+            # minimal rotation to the nearer cone edge (when that is wall-
+            # and disc-clean, the full candidate search picks it too)
+            cone_out = have_ref and ux * upx + uy * upy < cos_lim
+            if not cone_out:
+                wx, wy = ux, uy
+            elif upx * uy - upy * ux >= 0.0:
+                wx = upx * cos_lim - upy * sin_lim
+                wy = upy * cos_lim + upx * sin_lim
+            else:
+                wx = upx * cos_lim + upy * sin_lim
+                wy = upy * cos_lim - upx * sin_lim
+            nx = prev_x + wx * link_len
+            ny = prev_y + wy * link_len
             move = hypot(nx - cx, ny - cy)
             clean = 0.0 <= nx <= width and 0.0 <= ny <= height
-            if clean and have_ref and ux * upx + uy * upy < cos_lim:
-                clean = False
             if clean:
                 tested = (
                     near
@@ -595,73 +598,32 @@ def _constrained_pass(
                         ):
                             clean = False
                             break
-            if not clean:
-                resolved = False
-                if have_ref and ux * upx + uy * upy < cos_lim:
-                    # minimal rotation to the nearer cone edge; commit when
-                    # the result is already wall- and disc-clean (the full
-                    # candidate search would pick the same direction)
-                    if upx * uy - upy * ux >= 0.0:
-                        ex = upx * cos_lim - upy * sin_lim
-                        ey = upy * cos_lim + upx * sin_lim
-                    else:
-                        ex = upx * cos_lim + upy * sin_lim
-                        ey = upy * cos_lim - upx * sin_lim
-                    tx2 = prev_x + ex * link_len
-                    ty2 = prev_y + ey * link_len
-                    if 0.0 <= tx2 <= width and 0.0 <= ty2 <= height:
-                        ok2 = True
-                        move2 = hypot(tx2 - cx, ty2 - cy)
-                        tested = (
-                            near
-                            if (move2 if move2 > max_move else max_move)
-                            + unwound
-                            < cull_below
-                            else obstacles
-                        )
-                        if tested:
-                            mx2 = 0.5 * (prev_x + tx2)
-                            my2 = 0.5 * (prev_y + ty2)
-                            for ox, oy in tested:
-                                if (
-                                    abs(tx2 - ox) < reach
-                                    and abs(ty2 - oy) < reach
-                                    and (tx2 - ox) ** 2 + (ty2 - oy) ** 2 < mu2
-                                ) or (
-                                    abs(mx2 - ox) < reach
-                                    and abs(my2 - oy) < reach
-                                    and (mx2 - ox) ** 2 + (my2 - oy) ** 2 < mu2
-                                ):
-                                    ok2 = False
-                                    break
-                        if ok2:
-                            nx, ny = tx2, ty2
-                            move = move2
-                            cone_clamps += 1
-                            resolved = True
-                if not resolved:
-                    nx, ny, conflicted, clamped = _place_constrained(
-                        prev_x, prev_y, ux, uy, have_ref, upx, upy,
-                        cos_lim, sin_lim, link_len, width, height, obstacles,
-                        mu,
+            if clean:
+                if cone_out:
+                    cone_clamps += 1
+            else:
+                nx, ny, conflicted, clamped = _place_constrained(
+                    prev_x, prev_y, ux, uy, have_ref, upx, upy,
+                    cos_lim, sin_lim, link_len, width, height, obstacles,
+                    mu,
+                )
+                if conflicted and have_ref:
+                    # bend the placed chain nearer the pin so that this
+                    # point has a clean placement
+                    turn = _unwind(
+                        xs, ys, pin, i, direction, nx, ny, upx, upy,
+                        link_len, cos_lim, sin_lim, width, height,
+                        obstacles, mu,
                     )
-                    if conflicted and have_ref:
-                        # bend the placed chain nearer the pin so that this
-                        # point has a clean placement
-                        turn = _unwind(
-                            xs, ys, pin, i, direction, nx, ny, upx, upy,
-                            link_len, cos_lim, sin_lim, width, height,
-                            obstacles, mu,
-                        )
-                        if turn is not None:
-                            turned, nx, ny, clamped = turn
-                            conflicted = 0
-                            unwound += turned
-                            prev_x = xs[i - direction]
-                            prev_y = ys[i - direction]
-                    conflicts += conflicted
-                    cone_clamps += clamped
-                    move = hypot(nx - cx, ny - cy)
+                    if turn is not None:
+                        turned, nx, ny, clamped = turn
+                        conflicted = 0
+                        unwound += turned
+                        prev_x = xs[i - direction]
+                        prev_y = ys[i - direction]
+                conflicts += conflicted
+                cone_clamps += clamped
+                move = hypot(nx - cx, ny - cy)
             if move > max_move:
                 max_move = move
             xs[i] = nx
@@ -738,14 +700,11 @@ def _place_constrained(
         for ox, oy in obstacles
         if abs(ox - px) < influence and abs(oy - py) < influence
     ]
-    candidates: list[tuple[float, float]] = [(ux, uy)]
-    if have_ref:
-        candidates.append(
-            (upx * cos_lim - upy * sin_lim, upy * cos_lim + upx * sin_lim)
-        )
-        candidates.append(
-            (upx * cos_lim + upy * sin_lim, upy * cos_lim - upx * sin_lim)
-        )
+    edges = [
+        (upx * cos_lim - upy * sin_lim, upy * cos_lim + upx * sin_lim),
+        (upx * cos_lim + upy * sin_lim, upy * cos_lim - upx * sin_lim),
+    ] if have_ref else []
+    candidates: list[tuple[float, float]] = [(ux, uy), *edges]
     lo_x = -px / link_len
     hi_x = (width - px) / link_len
     lo_y = -py / link_len
@@ -808,12 +767,7 @@ def _place_constrained(
         # fallbacks prefer the one that stays closest to the workspace so a
         # pressed chain heads back inside instead of marching out.
         if have_ref:
-            fallbacks = [
-                (upx * cos_lim - upy * sin_lim, upy * cos_lim + upx * sin_lim),
-                (upx * cos_lim + upy * sin_lim, upy * cos_lim - upx * sin_lim),
-            ]
-            if not cone_violated:
-                fallbacks.append((ux, uy))
+            fallbacks = edges if cone_violated else [*edges, (ux, uy)]
             best_key = None
             for wx, wy in fallbacks:
                 ex = px + wx * link_len
@@ -990,95 +944,95 @@ def _resolve_obstacles(
     xs: list[float],
     ys: list[float],
     pin: int,
-    obstacles: list[tuple[float, float]],
+    center: tuple[float, float],
     mu: float,
 ) -> tuple[int, float, float]:
     """Push keypoints and link midpoints that lie deeper than the contact
-    tolerance _FEAS_OBS inside a disc (the depth to which placements may
-    touch it) to the obstacle surface; returns (push count, fresh clearance
-    margin, bound on any point's displacement). After pushes the margin is
-    conservatively zero, which forces a rescan on the next iteration. The
-    pin is neither pushed nor counted in the margin."""
+    tolerance _FEAS_OBS inside the disc at `center` (the depth to which
+    placements may touch it) to its surface; returns (push count, fresh
+    clearance margin, bound on any point's displacement). After pushes the
+    margin is conservatively zero, which forces a rescan on the next
+    iteration. The pin is never pushed. It is counted in the margin whenever
+    it lies outside the deep radius; a margin over more points can only be
+    smaller, so it stays a lower bound on the clearance of the others."""
     pushes = 0
     shifted = 0.0
     m = len(xs)
     deep2 = (mu - _FEAS_OBS) * (mu - _FEAS_OBS)
     min_d2 = math.inf
-    for ox, oy in obstacles:
-        for i in range(m):
-            dx = xs[i] - ox
-            dy = ys[i] - oy
-            d2 = dx * dx + dy * dy
-            if d2 < deep2:
-                if i == pin:
-                    continue
-                d = math.sqrt(d2)
-                if d < 1e-15:
-                    dx, dy, d = 1.0, 0.0, 1.0
-                scale = mu / d
-                xs[i] = ox + dx * scale
-                ys[i] = oy + dy * scale
-                shifted += abs(mu - d)
-                pushes += 1
-            elif d2 < min_d2:
-                min_d2 = d2
-        for i in range(m - 1):
-            mx = 0.5 * (xs[i] + xs[i + 1])
-            my = 0.5 * (ys[i] + ys[i + 1])
-            dx = mx - ox
-            dy = my - oy
-            d2 = dx * dx + dy * dy
-            if d2 < deep2:
-                d = math.sqrt(d2)
-                if d < 1e-15:
-                    dx, dy, d = 1.0, 0.0, 1.0
-                shift = mu / d - 1.0
-                sx = dx * shift
-                sy = dy * shift
-                if i == pin:
-                    xs[i + 1] += 2.0 * sx
-                    ys[i + 1] += 2.0 * sy
-                elif i + 1 == pin:
-                    xs[i] += 2.0 * sx
-                    ys[i] += 2.0 * sy
-                else:
-                    xs[i] += sx
-                    ys[i] += sy
-                    xs[i + 1] += sx
-                    ys[i + 1] += sy
-                # each end moves |mu - d|, twice that next to the pin
-                shifted += 2.0 * abs(mu - d)
-                pushes += 1
-            elif d2 < min_d2:
-                min_d2 = d2
+    ox, oy = center
+    for i in range(m):
+        dx = xs[i] - ox
+        dy = ys[i] - oy
+        d2 = dx * dx + dy * dy
+        if d2 < deep2:
+            if i == pin:
+                continue
+            d = math.sqrt(d2)
+            if d < 1e-15:
+                dx, dy, d = 1.0, 0.0, 1.0
+            scale = mu / d
+            xs[i] = ox + dx * scale
+            ys[i] = oy + dy * scale
+            shifted += abs(mu - d)
+            pushes += 1
+        elif d2 < min_d2:
+            min_d2 = d2
+    for i in range(m - 1):
+        mx = 0.5 * (xs[i] + xs[i + 1])
+        my = 0.5 * (ys[i] + ys[i + 1])
+        dx = mx - ox
+        dy = my - oy
+        d2 = dx * dx + dy * dy
+        if d2 < deep2:
+            d = math.sqrt(d2)
+            if d < 1e-15:
+                dx, dy, d = 1.0, 0.0, 1.0
+            shift = mu / d - 1.0
+            sx = dx * shift
+            sy = dy * shift
+            if i == pin:
+                xs[i + 1] += 2.0 * sx
+                ys[i + 1] += 2.0 * sy
+            elif i + 1 == pin:
+                xs[i] += 2.0 * sx
+                ys[i] += 2.0 * sy
+            else:
+                xs[i] += sx
+                ys[i] += sy
+                xs[i + 1] += sx
+                ys[i + 1] += sy
+            # each end moves |mu - d|, twice that next to the pin
+            shifted += 2.0 * abs(mu - d)
+            pushes += 1
+        elif d2 < min_d2:
+            min_d2 = d2
     if pushes:
         return pushes, 0.0, shifted
     return 0, math.sqrt(min_d2) - mu, 0.0
 
 
 def _obstacle_margin(
-    xs: list[float], ys: list[float], obstacles: list[tuple[float, float]], mu: float
+    xs: list[float], ys: list[float], center: tuple[float, float], mu: float
 ) -> float:
-    """Smallest clearance of any keypoint or link midpoint over all obstacle
-    surfaces (negative means penetration)."""
-    margin = math.inf
-    m = len(xs)
-    for ox, oy in obstacles:
-        best = math.inf
-        for i in range(m):
-            dx = xs[i] - ox
-            dy = ys[i] - oy
-            d2 = dx * dx + dy * dy
-            if d2 < best:
-                best = d2
-        for i in range(m - 1):
-            dx = 0.5 * (xs[i] + xs[i + 1]) - ox
-            dy = 0.5 * (ys[i] + ys[i + 1]) - oy
-            d2 = dx * dx + dy * dy
-            if d2 < best:
-                best = d2
-        margin = min(margin, math.sqrt(best) - mu)
-    return margin
+    """Smallest clearance of any keypoint or link midpoint, the pin
+    included, from the surface of the disc at `center` (negative means
+    penetration)."""
+    ox, oy = center
+    best = math.inf
+    for i in range(len(xs)):
+        dx = xs[i] - ox
+        dy = ys[i] - oy
+        d2 = dx * dx + dy * dy
+        if d2 < best:
+            best = d2
+    for i in range(len(xs) - 1):
+        dx = 0.5 * (xs[i] + xs[i + 1]) - ox
+        dy = 0.5 * (ys[i] + ys[i + 1]) - oy
+        d2 = dx * dx + dy * dy
+        if d2 < best:
+            best = d2
+    return math.sqrt(best) - mu
 
 
 def _exact_rebuild(xs: list[float], ys: list[float], pin: int, link_len: float) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -71,6 +72,68 @@ class TestExitCodes:
         code = run_cli("train", "--dataset", str(bad), "--out", str(tmp_path / "e.bin"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_no_episodes_exits_2(self, tmp_path, capsys, dataset_path,
+                                 encoder_path, command):
+        extra = ["--param", "reach_max", "--values", "0.45"] if command == "sweep" else []
+        code = run_cli(
+            command, "--dataset", dataset_path, "--encoder", encoder_path,
+            *extra, "--episodes", "0", "--out", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert "episodes must be >= 1" in capsys.readouterr().err
+
+    # each refused before the command runs, naming the file and the field
+    @pytest.mark.parametrize("config, field", [
+        ({"task": None}, "task"),
+        ({"train": [1]}, "train"),
+        ({"task": {"keypoint_count": "16"}}, "keypoint_count"),
+        ({"task": {"keypoint_count": 16.0}}, "keypoint_count"),
+        ({"task": {"obstacle_count": True}}, "obstacle_count"),
+        ({"task": {"reach_max": "0.4"}}, "reach_max"),
+        ({"task": {"reach_max": False}}, "reach_max"),
+        ({"task": {"dlo_length_range": [0.5]}}, "dlo_length_range"),
+        ({"task": {"dlo_length_range": 0.5}}, "dlo_length_range"),
+        ({"task": {"arm_bases": [[0.16, 0.3], [0.84]]}}, "arm_bases"),
+        ({"task": {"arm_bases": [[0.16, 0.3], [0.84, None]]}}, "arm_bases"),
+        ({"train": {"epochs": 2.5}}, "epochs"),
+        ({"train": {"learning_rate": None}}, "learning_rate"),
+    ])
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, dataset_path,
+                                     config, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        for argv in (["collect", "--out", str(tmp_path / "d.jsonl"),
+                      "--episodes", "1", "--pool-size", "1"],
+                     ["train", "--dataset", dataset_path,
+                      "--out", str(tmp_path / "e.bin")]):
+            assert run_cli(*argv, "--config", str(path)) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and field in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_well_typed_config_is_not_coerced(self, tmp_path):
+        """An int in a float field loads as written, so the config digest
+        of a valid file does not move."""
+        from slackline.config import (
+            TaskConfig, TrainConfig, config_digest, load_config_file,
+        )
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "task": {"reach_max": 1, "dlo_length_range": [0.5, 1],
+                     "arm_bases": [[0.16, 0.3], [0.84, 0.3]]},
+            "train": {"epochs": 2, "learning_rate": 0.001},
+        }))
+        task, train = load_config_file(str(path))
+        want = TaskConfig(reach_max=1, dlo_length_range=(0.5, 1))
+        assert config_digest(task, train) == config_digest(
+            want, TrainConfig(epochs=2, learning_rate=0.001)
+        )
+        assert config_digest(task) != config_digest(
+            TaskConfig(reach_max=1.0, dlo_length_range=(0.5, 1.0))
+        )
+
     def test_unknown_sweep_param_exits_1(self, capsys, dataset_path, encoder_path):
         code = run_cli(
             "sweep", "--dataset", dataset_path, "--encoder", encoder_path,
@@ -99,6 +162,9 @@ class TestAutoencoderFileChecks:
 
     def test_intact_copy_evaluates(self, tmp_path, ae_copy, dataset_path):
         assert self.eval_with(ae_copy, dataset_path, tmp_path / "r") == 0
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        want = hashlib.sha256(ae_copy.read_bytes()).hexdigest()
+        assert manifest["autoencoder_digest"] == want
 
     def test_sidecar_without_workspace(self, tmp_path, capsys, ae_copy, dataset_path):
         sidecar = tmp_path / "ae.bin.json"
@@ -229,6 +295,7 @@ class TestEval:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["env_seeds"]) == 3
         assert manifest["encoder_digest"]
+        assert manifest["autoencoder_digest"] is None
         results = (out / "results_contrastive+leader-follower.jsonl")
         assert len(results.read_text().splitlines()) == 3
 

@@ -13,6 +13,7 @@ from slackline.geometry import (
     seg_point_max_dist,
     seg_point_min_dist,
     sequence_feasible,
+    sequence_feasible_xy,
     waypoint_valid,
 )
 
@@ -178,6 +179,46 @@ def test_feasible_sequence_has_valid_endpoints(data):
     if sequence_feasible(s, arm, obstacles):
         assert waypoint_valid(s.p1, arm, obstacles)
         assert waypoint_valid(s.p2, arm, obstacles)
+
+
+def test_typed_sequence_feasible_equals_xy_kernel():
+    """The typed predicate and the scalar kernel agree on random segments,
+    one in four of zero length, and on segments ending exactly on the reach
+    annulus or an obstacle's clearance circle (all values dyadic)."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(2000):
+        ax, ay, bx, by = rng.uniform(-0.2, 1.2, size=4)
+        if i % 4 == 0:
+            bx, by = ax, ay
+        base = tuple(rng.uniform(0.0, 1.0, size=2))
+        centers = [tuple(rng.uniform(0.0, 1.0, size=2))
+                   for _ in range(rng.integers(0, 4))]
+        cases.append(((ax, ay, bx, by), base, 0.15, 0.45, centers, 0.1))
+    for end in [(0.375, 0.25), (0.25, 0.75), (0.25, 0.5)]:
+        for a in [end, (0.25, 0.375)]:
+            cases.append(((*a, *end), (0.25, 0.25), 0.125, 0.5,
+                          [(0.375, 0.5)], 0.125))
+    outcomes = set()
+    for (ax, ay, bx, by), base, r_min, r_max, centers, clearance in cases:
+        arm = ArmSpec(Point(*base), r_min, r_max)
+        obstacles = [Obstacle(Point(*c), 0.0625, clearance) for c in centers]
+        typed = sequence_feasible(seg(ax, ay, bx, by), arm, obstacles)
+        assert typed == sequence_feasible_xy(ax, ay, bx, by, *base, r_min, r_max,
+                                             centers, clearance)
+        if (ax, ay) == (bx, by):
+            assert typed == waypoint_valid(Point(ax, ay), arm, obstacles)
+        outcomes.add(typed)
+    assert outcomes == {True, False}
+
+
+def test_nan_is_infeasible():
+    nan = float("nan")
+    for ax, ay in [(nan, 0.3), (0.4, nan)]:
+        assert not sequence_feasible_xy(ax, ay, 0.4, 0.3, 0.16, 0.3, 0.15, 0.45,
+                                        [], 0.1)
+        assert not waypoint_valid(Point(ax, ay), ArmSpec(Point(0.16, 0.3), 0.15, 0.45),
+                                  [])
 
 
 def test_arm_spec_validation():

@@ -9,6 +9,7 @@ from slackline import simulator
 from slackline.config import TaskConfig
 from slackline.controller import make_pickplace
 from slackline.explore import _arbitrary_action
+from slackline.geometry import Point, waypoint_valid
 from slackline.harness import sweep_config
 from slackline.seeding import make_rng
 from slackline.simulator import (
@@ -393,6 +394,46 @@ class TestGoalAndReward:
         q = np.column_stack([xs, np.full(m, 0.3)])
         blocked = EnvState(q, np.array([[0.65, 0.35]]))  # 0.05 < clearance
         assert not goal_reached(blocked, task_config)
+
+
+    def test_goal_reached_is_waypoint_valid_of_both_endpoints(self):
+        """goal_reached equals the typed waypoint_valid of endpoint 1 for
+        arm 1 and endpoint M for arm 2: on generated chains with endpoints
+        moved at random, on a NaN endpoint, and on endpoints exactly at
+        reach_min, at reach_max and on an obstacle's clearance circle
+        (dyadic values, so the distances are exact)."""
+        def typed(state, config):
+            obstacles = state.obstacles(config)
+            return (waypoint_valid(Point(*state.q[0]), config.arm(1), obstacles)
+                    and waypoint_valid(Point(*state.q[-1]), config.arm(2),
+                                       obstacles))
+
+        cases = []
+        config = TaskConfig()
+        rng = np.random.default_rng(31)
+        for seed in range(100):
+            env = generate_env(config, seed)
+            q = env.q.copy()
+            q[0] = np.array(config.arm_bases[0]) + rng.uniform(-0.5, 0.5, 2)
+            q[-1] = np.array(config.arm_bases[1]) + rng.uniform(-0.5, 0.5, 2)
+            cases.append((EnvState(q, env.o), config))
+        q = generate_env(config, 0).q.copy()
+        q[-1, 1] = np.nan
+        cases.append((EnvState(q, np.zeros((0, 2))), config))
+        exact = TaskConfig(reach_min=0.125, reach_max=0.5, obstacle_radius=0.0625,
+                           obstacle_clearance=0.125,
+                           arm_bases=((0.25, 0.25), (0.75, 0.25)))
+        # endpoint 1 at reach_min, at reach_max or inside; endpoint 2 inside
+        # and, with the obstacle, on its clearance circle
+        for first in [(0.375, 0.25), (0.25, 0.75), (0.25, 0.5)]:
+            for o in [np.zeros((0, 2)), np.array([[0.875, 0.5]])]:
+                q = np.linspace(first, (0.75, 0.5), 16)
+                cases.append((EnvState(q, o), exact))
+        outcomes = set()
+        for state, cfg in cases:
+            assert goal_reached(state, cfg) == typed(state, cfg)
+            outcomes.add(goal_reached(state, cfg))
+        assert outcomes == {True, False}
 
 
 class TestSerialization:
