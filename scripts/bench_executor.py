@@ -6,9 +6,10 @@ The corpus is recorded once, from fixed seeds: every `execute` of a small
 arbitrary drags at obstacle radius 0.04 and 0.06. It is then replayed in
 fresh processes, alternating between the source trees given with --src, and
 each tree gets one line: the min and median time per execute over all
-replays, the projection passes per drag, and a digest of every output state
-and its ExecStats. Trees with equal digests executed the corpus identically,
-bit for bit.
+replays, the projection passes per drag, and a digest of every output state,
+its ExecStats and its quantized file form (`quantized().to_obj()`). Trees
+with equal digests executed and quantized the corpus identically, bit for
+bit. Timing covers `execute_with_stats` only.
 
     python scripts/bench_executor.py                          # this checkout
     python scripts/bench_executor.py --src ../parent/src --src src --pairs 5
@@ -81,7 +82,7 @@ def record(path: str) -> None:
 
 def replay(path: str, rounds: int) -> dict:
     """Time `rounds` replays of the corpus, then replay it once more to count
-    projection passes and digest the outputs."""
+    projection passes and digest the outputs and their quantized form."""
     import numpy as np
 
     from slackline import simulator
@@ -127,6 +128,7 @@ def replay(path: str, rounds: int) -> dict:
             [x.hex() for x in out.q.ravel().tolist()],
             [stats.joint_clamps, stats.obstacle_pushes,
              stats.workspace_clamps, stats.placement_conflicts],
+            out.quantized().to_obj(),
         ]).encode())
     simulator._constrained_pass = inner
     return {"executes": len(corpus), "drags": drags, "passes": passes,

@@ -142,6 +142,17 @@ def _parse_matrix(spec: str) -> list[tuple[str, str]]:
     return cells
 
 
+def _print_progress(kept: int, total: int) -> None:
+    """One stderr line at each tenth of the episodes to collect."""
+    if kept * 10 // total > (kept - 1) * 10 // total:
+        print(f"collect: {kept}/{total} episodes", file=sys.stderr)
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _cmd_collect(args) -> int:
     task, _ = _load_configs(args.config)
     t0 = time.perf_counter()
@@ -152,6 +163,7 @@ def _cmd_collect(args) -> int:
         trials_per_goal=args.trials_per_goal,
         seed=args.seed,
         pool_size=args.pool_size,
+        progress=_print_progress,
     )
     save_dataset(dataset, args.out)
     dt = time.perf_counter() - t0
@@ -268,14 +280,16 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     task, train_cfg = _load_configs(args.config)
     dataset = _load_dataset_checked(args.dataset)
+    dataset_sha256 = _file_sha256(args.dataset)
     artifacts = _build_artifacts(args, dataset, task)
     cells = _parse_matrix(args.matrix)
-    os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     table, per_cell = evaluate(
         cells, args.episodes, task, args.seed, artifacts, args.workers
     )
     dt = time.perf_counter() - t0
+    # only now, so that a refused run leaves no output directory
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(table.csv())
     with open(
@@ -297,8 +311,8 @@ def _cmd_eval(args) -> int:
         encoder=artifacts.encoder,
         autoencoder_digest=_ae_digest(artifacts.autoencoder),
         dataset_path=args.dataset,
-        extra={"episodes": args.episodes, "workers": args.workers,
-               "elapsed_seconds": round(dt, 3)},
+        extra={"dataset_sha256": dataset_sha256, "episodes": args.episodes,
+               "workers": args.workers, "elapsed_seconds": round(dt, 3)},
     )
     print(table.csv(), end="")
     print(f"eval finished in {dt:.1f}s -> {args.out}", file=sys.stderr)
@@ -308,6 +322,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     task, train_cfg = _load_configs(args.config)
     dataset = _load_dataset_checked(args.dataset)
+    dataset_sha256 = _file_sha256(args.dataset)
     artifacts = _build_artifacts(args, dataset, task)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -315,13 +330,13 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"bad --values: {err}") from err
     if not values:
         raise UsageError("empty --values")
-    os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     result, _ = sweep(
         args.param, values, args.episodes, task, args.seed, artifacts,
         args.workers,
     )
     dt = time.perf_counter() - t0
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"sweep_{args.param}.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(result.csv())
@@ -338,6 +353,7 @@ def _cmd_sweep(args) -> int:
         autoencoder_digest=_ae_digest(artifacts.autoencoder),
         dataset_path=args.dataset,
         extra={
+            "dataset_sha256": dataset_sha256,
             "sweep_param": args.param,
             "sweep_values": values,
             "episodes": args.episodes,

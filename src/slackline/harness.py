@@ -200,7 +200,8 @@ def summarize(
 
 # Episode execution, optionally across worker processes. Workers inherit the
 # evaluation context by fork; every episode is fully determined by its seeds,
-# so results are independent of the worker count.
+# so results are independent of the worker count. A pool task is one
+# environment with every cell on it, so the workers stay busy to near the end.
 
 _CTX: dict = {}
 
@@ -251,7 +252,7 @@ def evaluate(
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            rows = pool.map(_episode_task, tasks, chunksize=8)
+            rows = pool.map(_episode_task, tasks, chunksize=1)
     per_cell = [[row[c] for row in rows] for c in range(len(cells))]
     metrics = [
         summarize(p, c, results, config.horizon_max)

@@ -58,6 +58,12 @@ def quantize(x: float) -> float:
     return float(format(x, ".9g"))
 
 
+def quantize_all(values: list[float]) -> list[float]:
+    """quantize() of every value, bit for bit, in one formatting call:
+    %-formatting and format() render a float with the same routine."""
+    return [float(v) for v in (("%.9g " * len(values)) % tuple(values)).split()]
+
+
 @dataclass(frozen=True, eq=False)
 class EnvState:
     """M ordered keypoints plus B obstacle centers; q[0] corresponds to
@@ -100,14 +106,16 @@ class EnvState:
 
     def quantized(self) -> "EnvState":
         """Copy rounded to the 9-significant-digit file precision."""
-        q = np.array([[quantize(x), quantize(y)] for x, y in self.q])
-        o = np.array([[quantize(x), quantize(y)] for x, y in self.o]).reshape(-1, 2)
+        q = np.array(quantize_all(self.q.ravel().tolist())).reshape(-1, 2)
+        o = np.array(quantize_all(self.o.ravel().tolist())).reshape(-1, 2)
         return EnvState(q, o)
 
     def to_obj(self) -> dict:
+        q = quantize_all(self.q.ravel().tolist())
+        o = quantize_all(self.o.ravel().tolist())
         return {
-            "q": [[quantize(float(x)), quantize(float(y))] for x, y in self.q],
-            "o": [[quantize(float(x)), quantize(float(y))] for x, y in self.o],
+            "q": [q[i:i + 2] for i in range(0, len(q), 2)],
+            "o": [o[i:i + 2] for i in range(0, len(o), 2)],
         }
 
     @staticmethod
@@ -323,11 +331,16 @@ def _drag(
     bound and the displacement of every push. Each pass gets the obstacles
     whose budget is within _CULL_ALLOWANCE and skips the disc tests of the
     others while a point moves less than that (see `_constrained_pass`).
-    A scan that pushes restarts its obstacle's budget at zero without
-    measuring it, and a push can leave a point inside the disc (by up to
-    the contact tolerance, or more when a later push of the same scan moves
-    it), so after a drag's first push the budgets stop being proven bounds:
-    every later pass of the drag tests every obstacle.
+    The backstop scans only obstacles whose budget is used up (at most 0).
+    Budgets only fall between a pass and the backstop that follows it, so
+    within a substep the backstop runs only when the pass's charge reports
+    a used-up budget; otherwise it would scan nothing and push nothing. The
+    settle phase runs it before every pass. A scan that pushes restarts its
+    obstacle's budget at zero without measuring it, and a push can leave a
+    point inside the disc (by up to the contact tolerance, or more when a
+    later push of the same scan moves it), so after a drag's first push the
+    budgets stop being proven bounds: every later pass of the drag tests
+    every obstacle.
     """
     x0 = xs[pin]
     y0 = ys[pin]
@@ -347,8 +360,9 @@ def _drag(
     pushes_before = stats.obstacle_pushes
 
     # one constrained pass, culled until this drag pushes; returns its
-    # displacement bound, charged to every budget, and its conflict count
-    def project() -> tuple[float, int]:
+    # displacement bound, charged to every budget, its conflict count, and
+    # whether any budget is used up (only then has the backstop work)
+    def project() -> tuple[float, int, bool]:
         max_move, conflicts, cone = _constrained_pass(
             xs, ys, pin, link_len, cos_lim, sin_lim, dot_lim,
             width, height, obstacles, mu,
@@ -357,9 +371,13 @@ def _drag(
         )
         stats.joint_clamps += cone
         stats.placement_conflicts += conflicts
+        spent = False
         for b in range(len(budgets)):
-            budgets[b] -= max_move
-        return max_move, conflicts
+            budget = budgets[b] - max_move
+            budgets[b] = budget
+            if budget <= 0.0:
+                spent = True
+        return max_move, conflicts, spent
 
     inv = 1.0 / SUBSTEPS
     step_x = tx - x0
@@ -383,16 +401,18 @@ def _drag(
             budgets[b] -= moved
 
         for _ in range(PROJECTION_ITERS):
-            max_move, conflicts = project()
-            pushes = _backstop(xs, ys, pin, obstacles, budgets, mu, stats)
-            if not pushes and (not conflicts or max_move <= _CONVERGED):
+            max_move, conflicts, spent = project()
+            # with no budget used up the backstop would scan nothing
+            if spent and _backstop(xs, ys, pin, obstacles, budgets, mu, stats):
+                continue
+            if not conflicts or max_move <= _CONVERGED:
                 break
 
     # settle: rounds end with the constrained pass, so the chain leaves the
     # drag with exact lengths and in-cone bends
     for _ in range(SETTLE_ITERS):
         pushes = _backstop(xs, ys, pin, obstacles, budgets, mu, stats)
-        max_move, _ = project()
+        max_move, _, _ = project()
         if not pushes and max_move <= _CONVERGED:
             break
 
@@ -537,7 +557,7 @@ def _constrained_pass(
             dy = cy - prev_y
             d2 = dx * dx + dy * dy
             err = d2 - link2
-            if err <= skip2 and err >= -skip2:
+            if -skip2 <= err <= skip2:
                 # length already exact; accept unless cone or walls object
                 if (not have_ref or dx * upx + dy * upy >= cone_dot) and (
                     0.0 <= cx <= width and 0.0 <= cy <= height
@@ -564,15 +584,14 @@ def _constrained_pass(
             # and disc-clean, the full candidate search picks it too)
             cone_out = have_ref and ux * upx + uy * upy < cos_lim
             if not cone_out:
-                wx, wy = ux, uy
+                nx = prev_x + ux * link_len
+                ny = prev_y + uy * link_len
             elif upx * uy - upy * ux >= 0.0:
-                wx = upx * cos_lim - upy * sin_lim
-                wy = upy * cos_lim + upx * sin_lim
+                nx = prev_x + (upx * cos_lim - upy * sin_lim) * link_len
+                ny = prev_y + (upy * cos_lim + upx * sin_lim) * link_len
             else:
-                wx = upx * cos_lim + upy * sin_lim
-                wy = upy * cos_lim - upx * sin_lim
-            nx = prev_x + wx * link_len
-            ny = prev_y + wy * link_len
+                nx = prev_x + (upx * cos_lim + upy * sin_lim) * link_len
+                ny = prev_y + (upy * cos_lim - upx * sin_lim) * link_len
             move = hypot(nx - cx, ny - cy)
             clean = 0.0 <= nx <= width and 0.0 <= ny <= height
             if clean:
@@ -588,12 +607,12 @@ def _constrained_pass(
                     my = 0.5 * (prev_y + ny)
                     for ox, oy in tested:
                         if (
-                            abs(nx - ox) < reach
-                            and abs(ny - oy) < reach
+                            -reach < nx - ox < reach
+                            and -reach < ny - oy < reach
                             and (nx - ox) ** 2 + (ny - oy) ** 2 < mu2
                         ) or (
-                            abs(mx - ox) < reach
-                            and abs(my - oy) < reach
+                            -reach < mx - ox < reach
+                            and -reach < my - oy < reach
                             and (mx - ox) ** 2 + (my - oy) ** 2 < mu2
                         ):
                             clean = False

@@ -83,6 +83,17 @@ class TestExitCodes:
         assert code == 2
         assert "episodes must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--matrix", "fixed:leader-follower", "--episodes", "0"],
+        ["sweep", "--param", "reach_max", "--values", "0.5"],  # no --encoder
+    ])
+    def test_refused_run_leaves_no_output_directory(self, tmp_path, dataset_path,
+                                                    argv):
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--dataset", dataset_path, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
     # each refused before the command runs, naming the file and the field
     @pytest.mark.parametrize("config, field", [
         ({"task": None}, "task"),
@@ -296,6 +307,8 @@ class TestEval:
         assert len(manifest["env_seeds"]) == 3
         assert manifest["encoder_digest"]
         assert manifest["autoencoder_digest"] is None
+        with open(dataset_path, "rb") as fh:
+            assert manifest["dataset_sha256"] == hashlib.sha256(fh.read()).hexdigest()
         results = (out / "results_contrastive+leader-follower.jsonl")
         assert len(results.read_text().splitlines()) == 3
 
@@ -367,6 +380,38 @@ class TestTrainCommands:
         from slackline.explore import load_dataset
 
         assert len(load_dataset(str(out)).episodes) == 2
+
+    def test_collect_reports_progress_on_stderr(self, tmp_path, capsys):
+        """One stderr line per tenth of --episodes; stdout and the dataset
+        bytes are those of a run without progress."""
+        from slackline.config import TaskConfig
+        from slackline.explore import collect
+
+        out = tmp_path / "mini.jsonl"
+        code = run_cli(
+            "collect", "--out", str(out), "--episodes", "3", "--seed", "6",
+            "--pool-size", "3",
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"collect: {k}/3 episodes" for k in (1, 2, 3)
+        ]
+        assert len(captured.out.splitlines()) == 1
+        assert captured.out.startswith("collected 3 episodes")
+        dataset, _ = collect(TaskConfig(), episodes=3, seed=6, pool_size=3)
+        plain = tmp_path / "plain.jsonl"
+        save_dataset(dataset, str(plain))
+        assert out.read_bytes() == plain.read_bytes()
+
+    def test_collect_progress_at_each_tenth(self, capsys):
+        from slackline.cli import _print_progress
+
+        for kept in range(1, 26):
+            _print_progress(kept, 25)
+        assert capsys.readouterr().err.splitlines() == [
+            f"collect: {k}/25 episodes" for k in (3, 5, 8, 10, 13, 15, 18, 20, 23, 25)
+        ]
 
 
 class TestRenderCommand:

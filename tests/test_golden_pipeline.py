@@ -1,7 +1,14 @@
 """Golden digests of the pipeline on the session fixtures: the saved dataset,
 the encoder, the autoencoder, and the evaluation and sweep outputs. They were
 computed before the planners shared one state table and one retrieval index;
-a refactor that moves any of them changes behaviour."""
+a refactor that moves any of them changes behaviour.
+
+The encoder's bytes depend on the number of OpenBLAS threads: under
+OPENBLAS_NUM_THREADS=1 `test_encoder` reads 935c4dc4de40... instead of the
+pinned 41e6810c8809..., which 2, 3 and 4 threads all give (a (256x528) @
+(528x256) product already differs between 1 and 2 threads). ENCODER is the
+multi-threaded result; the other digests that depend on the encoder are
+pinned at the same setting."""
 
 import hashlib
 import json

@@ -1,3 +1,4 @@
+import json
 import math
 import xml.etree.ElementTree as ET
 
@@ -78,15 +79,20 @@ class TestEvaluate:
         assert again.csv() == table.csv()
 
     def test_workers_do_not_change_results(self, task_config, artifacts):
-        seq, _ = evaluate(
-            [("contrastive", "leader-follower")], 4, task_config, 23, artifacts,
-            workers=1,
-        )
-        par, _ = evaluate(
-            [("contrastive", "leader-follower")], 4, task_config, 23, artifacts,
-            workers=2,
-        )
-        assert seq.csv() == par.csv()
+        """Every results line of a multi-cell matrix, over an episode count
+        that no worker count divides, as `slackline eval` writes them."""
+        cells = [("contrastive", "leader-follower"), ("fixed", "only-leader"),
+                 ("random", "random-control"), ("template", "leader-follower")]
+        runs = []
+        for workers in (1, 2, 3):
+            table, per_cell = evaluate(cells, 7, task_config, 23, artifacts,
+                                       workers=workers)
+            lines = [json.dumps(r.to_obj(), separators=(",", ":"))
+                     for results in per_cell for r in results]
+            runs.append((table.csv_full(), lines))
+        assert len(runs[0][1]) == 4 * 7
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
     def test_csv_header_pinned(self, small_table):
         table, _ = small_table

@@ -23,6 +23,7 @@ from slackline.simulator import (
     generate_env,
     goal_reached,
     quantize,
+    quantize_all,
     reward,
 )
 
@@ -449,6 +450,45 @@ class TestSerialization:
     def test_quantize_nine_significant_digits(self):
         assert quantize(0.123456789123) == 0.123456789
         assert quantize(1.0) == 1.0
+
+    def test_quantize_all_is_quantize_bit_for_bit(self):
+        """On magnitudes from 1e-310 (subnormal) to 1e308 of both signs, as
+        Python and as numpy floats, and on the signed zeros, the infinities
+        and nan."""
+        rng = np.random.default_rng(7)
+        values = (np.sign(rng.uniform(-1.0, 1.0, 20_000))
+                  * 10.0 ** rng.uniform(-310.0, 308.0, 20_000)).tolist()
+        values += [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308,
+                   0.1234567895, 999999999.5]
+        numpy_values = [np.float64(v) for v in values]
+        assert isinstance(numpy_values[0], np.float64)
+        for batch in (values, numpy_values):
+            bulk = quantize_all(batch)
+            assert len(bulk) == len(batch)
+            assert [v.hex() for v in bulk] == [quantize(v).hex() for v in batch]
+            assert all(type(v) is float for v in bulk)
+        assert quantize_all([]) == []
+
+    def test_quantized_and_to_obj_are_per_element_quantize(self, task_config):
+        def per_element(rows):
+            return [[quantize(float(x)), quantize(float(y))] for x, y in rows]
+
+        rng = np.random.default_rng(11)
+        states = [generate_env(task_config, seed) for seed in range(30)]
+        states += [EnvState(s.q + rng.normal(0.0, 1e-3, s.q.shape), s.o)
+                   for s in states[:10]]
+        states.append(EnvState(states[0].q, np.zeros((0, 2))))
+        assert states[-1].o.shape == (0, 2)
+        for state in states:
+            want = {"q": per_element(state.q), "o": per_element(state.o)}
+            got = state.to_obj()
+            assert json.dumps(got) == json.dumps(want)
+            quantized = state.quantized()
+            assert quantized.q.dtype == np.float64
+            assert quantized.q.tobytes() == np.array(want["q"]).tobytes()
+            assert quantized.o.shape == state.o.shape
+            assert quantized.o.tobytes() == (
+                np.array(want["o"], dtype=np.float64).reshape(-1, 2).tobytes())
 
     def test_action_roundtrip(self):
         pp = PickPlace(2, 5, (0.123456789, 0.3), (0.2, 0.4))
