@@ -5,9 +5,13 @@ state and moves it toward the matching keypoint of the subgoal (for the
 leader) or along the displacement its nearest chain endpoint needs (for the
 follower), with the displacement magnitude capped at the per-step limit.
 
-The leader corrects the largest keypoint discrepancy it can feasibly reach;
-the follower cooperates at the farthest feasible keypoint beyond the pick
-separation threshold, so the chain deforms globally and the arms stay apart.
+A controller makes one step in two calls. `select` chooses the leader's drag
+on the state the step starts from. `follow` chooses the other arm's drag on
+the state the leader's drag left (at file precision), so the follower picks
+a keypoint where it really is; its pick must lie beyond the pick separation
+threshold from the leader's pick. The leader corrects the largest keypoint
+discrepancy it can feasibly reach; the follower cooperates at the farthest
+feasible keypoint, so the chain deforms globally and the arms stay apart.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .config import TaskConfig
 from .geometry import sequence_feasible_xy
-from .simulator import ActionPair, EnvState, PickPlace, quantize
+from .simulator import EnvState, PickPlace, quantize
 
 # displacements below this are treated as converged and produce no action
 CONVERGED = 1e-6
@@ -99,7 +103,7 @@ def feasible_correspondence_actions(
 
 def leader_select(
     state: EnvState, subgoal: EnvState, config: TaskConfig
-) -> tuple[int, int, PickPlace] | None:
+) -> PickPlace | None:
     """Pick the feasible keypoint nearest (in the current state) to the
     keypoint of largest discrepancy, dragged toward its subgoal match.
 
@@ -137,27 +141,24 @@ def leader_select(
             arm_id = 1 if d1 <= d2 else 2
         else:
             arm_id = feasible[0]
-        return arm_id, k, make_pickplace(arm_id, k, state, place)
+        return make_pickplace(arm_id, k, state, place)
     return None
 
 
 def follower_select(
-    state: EnvState,
-    subgoal: EnvState,
-    leader: tuple[int, int, PickPlace],
-    config: TaskConfig,
+    state: EnvState, subgoal: EnvState, leader: PickPlace, config: TaskConfig
 ) -> PickPlace | None:
-    """Farthest feasible keypoint beyond the pick-separation threshold,
-    dragged along the displacement of its nearest chain endpoint; the
-    non-leader arm executes it. None switches to single-arm mode."""
-    leader_arm, leader_k, _ = leader
+    """Farthest feasible keypoint of the state the leader's drag left,
+    measured from the leader's pick and beyond the pick-separation
+    threshold, dragged along the displacement of its nearest chain endpoint;
+    the non-leader arm executes it. None switches to single-arm mode."""
     q = state.q
     g = subgoal.q
     m = q.shape[0]
-    dists = np.hypot(q[:, 0] - q[leader_k, 0], q[:, 1] - q[leader_k, 1])
+    dists = np.hypot(q[:, 0] - leader.pick[0], q[:, 1] - leader.pick[1])
     order = np.argsort(-dists, kind="stable")
     obstacles = state.o.tolist()
-    follower_arm = 3 - leader_arm
+    follower_arm = 3 - leader.arm_id
     for k in map(int, order):
         if dists[k] <= config.min_pick_separation:
             break  # sorted descending: no farther candidate remains
@@ -175,67 +176,18 @@ def follower_select(
     return None
 
 
-def act(
-    state: EnvState, subgoal: EnvState, config: TaskConfig
-) -> ActionPair | None:
-    """Leader-follower action; None when even the leader has no feasible
-    drag (the policy then falls back to a random feasible action)."""
-    leader = leader_select(state, subgoal, config)
-    if leader is None:
-        return None
-    follower = follower_select(state, subgoal, leader, config)
-    return ActionPair(leader[2], follower)
-
-
-def only_leader(
-    state: EnvState, subgoal: EnvState, config: TaskConfig
-) -> ActionPair | None:
-    """Single-arm ablation: the leader acts alone."""
-    leader = leader_select(state, subgoal, config)
-    if leader is None:
-        return None
-    return ActionPair(leader[2], None)
-
-
-def random_control(
-    state: EnvState,
-    subgoal: EnvState,
-    config: TaskConfig,
-    rng: np.random.Generator,
-) -> ActionPair | None:
-    """Random-control ablation: uniform feasible correspondence drag per arm,
-    the second arm only when a non-conflicting pick exists."""
-    candidates = feasible_correspondence_actions(state, subgoal, config)
-    if not candidates:
-        return None
-    arm_id, k, place = candidates[int(rng.integers(len(candidates)))]
-    leader = make_pickplace(arm_id, k, state, place)
-    q = state.q
-    partners = [
-        c
-        for c in candidates
-        if c[0] != arm_id
-        and math.hypot(q[c[1], 0] - q[k, 0], q[c[1], 1] - q[k, 1])
-        > config.min_pick_separation
-    ]
-    if not partners:
-        return ActionPair(leader, None)
-    arm2, k2, place2 = partners[int(rng.integers(len(partners)))]
-    return ActionPair(leader, make_pickplace(arm2, k2, state, place2))
-
-
 def random_single_arm(
     state: EnvState,
     subgoal: EnvState,
     config: TaskConfig,
     rng: np.random.Generator,
-) -> ActionPair | None:
-    """Fallback action: one uniform feasible single-arm correspondence drag."""
+) -> PickPlace | None:
+    """One uniform feasible correspondence drag, for either arm."""
     candidates = feasible_correspondence_actions(state, subgoal, config)
     if not candidates:
         return None
     arm_id, k, place = candidates[int(rng.integers(len(candidates)))]
-    return ActionPair(make_pickplace(arm_id, k, state, place), None)
+    return make_pickplace(arm_id, k, state, place)
 
 
 class LeaderFollower:
@@ -248,11 +200,19 @@ class LeaderFollower:
 
     def select(
         self, state: EnvState, subgoal: EnvState, rng: np.random.Generator
-    ) -> ActionPair | None:
-        return act(state, subgoal, self.config)
+    ) -> PickPlace | None:
+        return leader_select(state, subgoal, self.config)
+
+    def follow(
+        self, state: EnvState, subgoal: EnvState, leader: PickPlace,
+        rng: np.random.Generator,
+    ) -> PickPlace | None:
+        return follower_select(state, subgoal, leader, self.config)
 
 
 class OnlyLeader:
+    """Single-arm ablation: the leader acts alone."""
+
     name = "only-leader"
 
     def __init__(self, config: TaskConfig) -> None:
@@ -260,11 +220,21 @@ class OnlyLeader:
 
     def select(
         self, state: EnvState, subgoal: EnvState, rng: np.random.Generator
-    ) -> ActionPair | None:
-        return only_leader(state, subgoal, self.config)
+    ) -> PickPlace | None:
+        return leader_select(state, subgoal, self.config)
+
+    def follow(
+        self, state: EnvState, subgoal: EnvState, leader: PickPlace,
+        rng: np.random.Generator,
+    ) -> PickPlace | None:
+        return None
 
 
 class RandomControl:
+    """Random-control ablation: a uniform feasible correspondence drag per
+    arm, the second arm only when a pick beyond the separation threshold
+    exists."""
+
     name = "random-control"
 
     def __init__(self, config: TaskConfig) -> None:
@@ -272,5 +242,22 @@ class RandomControl:
 
     def select(
         self, state: EnvState, subgoal: EnvState, rng: np.random.Generator
-    ) -> ActionPair | None:
-        return random_control(state, subgoal, self.config, rng)
+    ) -> PickPlace | None:
+        return random_single_arm(state, subgoal, self.config, rng)
+
+    def follow(
+        self, state: EnvState, subgoal: EnvState, leader: PickPlace,
+        rng: np.random.Generator,
+    ) -> PickPlace | None:
+        q = state.q
+        partners = [
+            c
+            for c in feasible_correspondence_actions(state, subgoal, self.config)
+            if c[0] != leader.arm_id
+            and math.hypot(q[c[1], 0] - leader.pick[0], q[c[1], 1] - leader.pick[1])
+            > self.config.min_pick_separation
+        ]
+        if not partners:
+            return None
+        arm_id, k, place = partners[int(rng.integers(len(partners)))]
+        return make_pickplace(arm_id, k, state, place)

@@ -11,7 +11,7 @@ import numpy as np
 from .config import TaskConfig
 from .controller import random_single_arm
 from .seeding import make_rng
-from .simulator import ActionPair, EnvState, execute, goal_reached
+from .simulator import ActionPair, EnvState, PickPlace, execute, goal_reached
 
 
 class Planner(Protocol):
@@ -27,7 +27,12 @@ class Controller(Protocol):
 
     def select(
         self, state: EnvState, subgoal: EnvState, rng: np.random.Generator
-    ) -> ActionPair | None: ...
+    ) -> PickPlace | None: ...
+
+    def follow(
+        self, state: EnvState, subgoal: EnvState, leader: PickPlace,
+        rng: np.random.Generator,
+    ) -> PickPlace | None: ...
 
 
 @dataclass
@@ -80,10 +85,12 @@ def run_episode(
 ) -> EpisodeResult:
     """One closed-loop episode from `env`, replanning the subgoal each step.
 
-    A controller returning no action falls back to one uniform random
-    feasible single-arm correspondence drag; if that also fails the episode
-    ends as a failure. States are recorded at file precision so results
-    replay bit-exactly from disk.
+    Each step executes the controller's leader drag, then asks the controller
+    for a follower drag on the state the leader left and executes that. A
+    controller returning no leader falls back to one uniform random feasible
+    single-arm correspondence drag, with no follower; if that also fails the
+    episode ends as a failure. States are recorded at file precision so
+    results replay bit-exactly from disk.
     """
     rng = make_rng(seed, "episode-rng")
     planner.reset(seed)
@@ -98,23 +105,25 @@ def run_episode(
 
     for _ in range(config.horizon_max):
         subgoal, ident = planner.plan(state)
-        action = controller.select(state, subgoal, rng)
-        fallback = False
-        if action is None:
-            action = random_single_arm(state, subgoal, config, rng)
-            fallback = True
-        if action is None:
+        leader = controller.select(state, subgoal, rng)
+        fallback = leader is None
+        if fallback:
+            leader = random_single_arm(state, subgoal, config, rng)
+        if leader is None:
             failure = "no-action"
             break
-        state = execute(state, action, config).quantized()
+        state = execute(state, ActionPair(leader), config).quantized()
+        follower = None if fallback else controller.follow(state, subgoal, leader, rng)
+        if follower is not None:
+            state = execute(state, ActionPair(follower), config).quantized()
         states.append(state)
-        actions.append(action)
+        actions.append(ActionPair(leader, follower))
         subgoals.append(subgoal)
         subgoal_ids.append(ident)
         roles.append(
             {
-                "leader_arm": action.leader.arm_id,
-                "follower": action.follower is not None,
+                "leader_arm": leader.arm_id,
+                "follower": follower is not None,
                 "fallback": fallback,
             }
         )

@@ -13,6 +13,10 @@ joint's bend slack, so that the point has one. A settle phase at the end of
 the drag plus a final exact inextensibility rebuild make link lengths exact
 while preserving link directions, so bend angles survive unchanged.
 
+A bimanual action runs its leader's drag, then its follower's drag from the
+leader's result at file precision; each drag is checked against the state
+it starts from.
+
 The executor's contract on every executed action: link lengths exact to
 1e-9, every bend within the joint limit plus 1e-9, and no keypoint or link
 midpoint more than 1 mm inside an obstacle disc. The walls are not part of
@@ -228,73 +232,68 @@ def execute(state: EnvState, action: ActionPair, config: TaskConfig) -> EnvState
 def execute_with_stats(
     state: EnvState, action: ActionPair, config: TaskConfig
 ) -> tuple[EnvState, ExecStats]:
-    """Run the quasi-static transition, leader first then follower.
+    """Run the quasi-static transition: the leader's drag, then the
+    follower's drag from the leader's result at file precision, the state
+    the controller chose the follower on.
 
-    Raises InfeasibleActionError (leaving the state untouched) when either
-    swept segment fails feasibility for its arm, when the structural action
-    invariants are violated, or when a pick does not match the keypoint it
-    names in the input state.
+    Raises InfeasibleActionError (leaving the state untouched) when the two
+    drags use one arm or pick closer than the separation threshold, or when
+    a drag fails its checks against the state it starts from: its pick must
+    match the keypoint it names, its displacement stay within the max step
+    and its swept segment be feasible for its arm.
     """
-    _validate_action(state, action, config)
-
-    xs = state.q[:, 0].tolist()
-    ys = state.q[:, 1].tolist()
-    link_len = state.link_length()
-    obstacles = [tuple(c) for c in state.o.tolist()]
-    stats = ExecStats()
-    for pp in action.sequences():
-        _drag(
-            xs,
-            ys,
-            pp.pick_index,
-            pp.place[0],
-            pp.place[1],
-            link_len,
-            config,
-            obstacles,
-            stats,
-        )
-    q = np.column_stack([xs, ys])
-    return EnvState(q, state.o), stats
-
-
-def _validate_action(state: EnvState, action: ActionPair, config: TaskConfig) -> None:
-    m = state.keypoint_count
-    obstacles = state.o.tolist()
-    for pp in action.sequences():
-        if not 0 <= pp.pick_index < m:
-            raise InfeasibleActionError(
-                f"pick index {pp.pick_index} outside 0..{m - 1}"
-            )
-        kx, ky = state.q[pp.pick_index]
-        if math.hypot(pp.pick[0] - kx, pp.pick[1] - ky) > 1e-9:
-            raise InfeasibleActionError(
-                f"pick {pp.pick} does not match keypoint {pp.pick_index}"
-            )
-        if pp.displacement() > config.max_step + DISPLACEMENT_TOL:
-            raise InfeasibleActionError(
-                f"displacement {pp.displacement():.6f} exceeds max step "
-                f"{config.max_step}"
-            )
-        if not sequence_feasible_xy(
-            *pp.pick, *pp.place, *config.arm_bases[pp.arm_id - 1],
-            config.reach_min, config.reach_max, obstacles,
-            config.obstacle_clearance,
-        ):
-            raise InfeasibleActionError(
-                f"swept segment {pp.pick}->{pp.place} infeasible for arm {pp.arm_id}"
-            )
-    if action.follower is not None:
-        if action.follower.arm_id == action.leader.arm_id:
+    follower = action.follower
+    if follower is not None:
+        if follower.arm_id == action.leader.arm_id:
             raise InfeasibleActionError("leader and follower must use different arms")
         sep = math.hypot(
-            action.leader.pick[0] - action.follower.pick[0],
-            action.leader.pick[1] - action.follower.pick[1],
+            action.leader.pick[0] - follower.pick[0],
+            action.leader.pick[1] - follower.pick[1],
         )
         if sep <= config.min_pick_separation:
             raise InfeasibleActionError(
                 f"pick separation {sep:.6f} not above {config.min_pick_separation}"
             )
+    stats = ExecStats()
+    new_state = _execute_drag(state, action.leader, config, stats)
+    if follower is not None:
+        new_state = _execute_drag(new_state.quantized(), follower, config, stats)
+    return new_state, stats
+
+
+def _execute_drag(
+    state: EnvState, pp: PickPlace, config: TaskConfig, stats: ExecStats
+) -> EnvState:
+    """Check one drag against the state it starts from, then run it."""
+    m = state.keypoint_count
+    if not 0 <= pp.pick_index < m:
+        raise InfeasibleActionError(f"pick index {pp.pick_index} outside 0..{m - 1}")
+    kx, ky = state.q[pp.pick_index]
+    if math.hypot(pp.pick[0] - kx, pp.pick[1] - ky) > 1e-9:
+        raise InfeasibleActionError(
+            f"pick {pp.pick} does not match keypoint {pp.pick_index}"
+        )
+    if pp.displacement() > config.max_step + DISPLACEMENT_TOL:
+        raise InfeasibleActionError(
+            f"displacement {pp.displacement():.6f} exceeds max step "
+            f"{config.max_step}"
+        )
+    obstacles = state.o.tolist()
+    if not sequence_feasible_xy(
+        *pp.pick, *pp.place, *config.arm_bases[pp.arm_id - 1],
+        config.reach_min, config.reach_max, obstacles,
+        config.obstacle_clearance,
+    ):
+        raise InfeasibleActionError(
+            f"swept segment {pp.pick}->{pp.place} infeasible for arm {pp.arm_id}"
+        )
+    xs = state.q[:, 0].tolist()
+    ys = state.q[:, 1].tolist()
+    _drag(
+        xs, ys, pp.pick_index, pp.place[0], pp.place[1], state.link_length(),
+        config, [tuple(c) for c in obstacles], stats,
+    )
+    return EnvState(np.column_stack([xs, ys]), state.o)
 
 
 def _drag(

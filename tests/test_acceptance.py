@@ -53,7 +53,12 @@ from slackline.harness import (
 )
 from slackline.planner import build_index, retrieve, train_autoencoder
 from slackline.seeding import make_rng
-from slackline.simulator import execute_with_stats, generate_env
+from slackline.simulator import (
+    InfeasibleActionError,
+    execute,
+    execute_with_stats,
+    generate_env,
+)
 from slackline.cli import _save_ae, load_ae
 
 EVAL_EPISODES = 300
@@ -455,11 +460,13 @@ def test_criterion_8_action_feasibility_audit(pipeline, matrix_results, sweep_re
     feasible = 0
     dual = 0
     separated = 0
+    actions = 0
+    replayed = 0
     for cfg, per_cell in batches:
         for results in per_cell:
             for episode in results:
                 obstacles = episode.states[0].obstacles(cfg)
-                for action in episode.actions:
+                for t, action in enumerate(episode.actions):
                     for pp in action.sequences():
                         total += 1
                         feasible += sequence_feasible(
@@ -472,8 +479,19 @@ def test_criterion_8_action_feasibility_audit(pipeline, matrix_results, sweep_re
                             action.leader.pick[1] - action.follower.pick[1],
                         )
                         separated += sep > cfg.min_pick_separation
+                    # the executor checks each drag against the state it
+                    # starts from; the logged action must pass and reproduce
+                    # the logged next state bit for bit
+                    actions += 1
+                    try:
+                        after = execute(episode.states[t], action, cfg)
+                    except InfeasibleActionError:
+                        continue
+                    replayed += after.quantized() == episode.states[t + 1]
     report(
         8,
-        feasible == total and separated == dual and total > 10_000,
-        f"feasibility {feasible}/{total}, separation {separated}/{dual}",
+        feasible == total and separated == dual and replayed == actions
+        and total > 10_000,
+        f"feasibility {feasible}/{total}, separation {separated}/{dual}, "
+        f"replay {replayed}/{actions}",
     )

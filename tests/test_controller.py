@@ -5,17 +5,17 @@ import pytest
 
 from slackline.config import TaskConfig
 from slackline.controller import (
-    act,
+    LeaderFollower,
+    OnlyLeader,
+    RandomControl,
     feasible_correspondence_actions,
     follower_select,
     leader_select,
-    only_leader,
-    random_control,
     random_single_arm,
 )
 from slackline.geometry import Point, Segment, sequence_feasible
 from slackline.seeding import make_rng
-from slackline.simulator import EnvState
+from slackline.simulator import ActionPair, EnvState, PickPlace, execute
 
 
 def state_of(points, obstacles=()):
@@ -43,15 +43,25 @@ def pinned_config(**kw):
     return TaskConfig(**defaults)
 
 
+def step(controller, state, subgoal, config, rng=None):
+    """One controller step as the policy runs it: the leader on `state`, the
+    follower on the state the leader's drag left. None when no leader."""
+    rng = make_rng(0) if rng is None else rng
+    leader = controller.select(state, subgoal, rng)
+    if leader is None:
+        return None
+    after = execute(state, ActionPair(leader), config).quantized()
+    return ActionPair(leader, controller.follow(after, subgoal, leader, rng))
+
+
 class TestLeaderSelect:
     def test_spec_instance_picks_nearer_arm(self):
         cfg = tiny_config()
         state = state_of([(0.4, 0.3), (0.5, 0.3), (0.6, 0.3)])
         subgoal = state_of([(0.4, 0.3), (0.5, 0.3), (0.6, 0.45)])
-        got = leader_select(state, subgoal, cfg)
-        assert got is not None
-        arm_id, k, pp = got
-        assert (arm_id, k) == (2, 2)
+        pp = leader_select(state, subgoal, cfg)
+        assert pp is not None
+        assert (pp.arm_id, pp.pick_index) == (2, 2)
         assert pp.pick == (0.6, 0.3)
         assert pp.place == pytest.approx((0.6, 0.4), abs=1e-12)
         # hand check with the feasibility oracle
@@ -68,7 +78,7 @@ class TestLeaderSelect:
         cfg = tiny_config()
         state = state_of([(0.4, 0.3), (0.5, 0.3), (0.6, 0.3)])
         subgoal = state_of([(0.4, 0.3), (0.5, 0.3), (0.6, 0.8)])  # |V| = 0.5
-        _, _, pp = leader_select(state, subgoal, cfg)
+        pp = leader_select(state, subgoal, cfg)
         assert pp.displacement() == pytest.approx(cfg.max_step, abs=1e-9)
 
     def test_falls_back_to_nearest_feasible_keypoint(self):
@@ -80,8 +90,7 @@ class TestLeaderSelect:
         subgoal = state_of([(0.3, 0.5), (0.62, 0.3), (0.5, 0.3)])
         got = leader_select(state, subgoal, cfg)
         assert got is not None
-        _, k, _ = got
-        assert k == 1
+        assert got.pick_index == 1
 
     def test_no_feasible_drag_returns_none(self):
         cfg = tiny_config()
@@ -105,12 +114,13 @@ class TestFollowerSelect:
         subgoal = state_of(goal_q)
         leader = leader_select(state, subgoal, cfg)
         assert leader is not None
-        follower = follower_select(state, subgoal, leader, cfg)
+        after = execute(state, ActionPair(leader), cfg).quantized()
+        follower = follower_select(after, subgoal, leader, cfg)
         assert follower is not None
-        assert follower.arm_id == 3 - leader[0]
+        assert follower.arm_id == 3 - leader.arm_id
         sep = math.hypot(
-            follower.pick[0] - leader[2].pick[0],
-            follower.pick[1] - leader[2].pick[1],
+            follower.pick[0] - leader.pick[0],
+            follower.pick[1] - leader.pick[1],
         )
         assert sep > cfg.min_pick_separation
         # direction follows the nearest endpoint's displacement (+y here)
@@ -123,7 +133,8 @@ class TestFollowerSelect:
         leader = leader_select(state, subgoal, cfg)
         assert leader is not None
         # max pairwise distance 0.1 < 0.15 separation threshold
-        assert follower_select(state, subgoal, leader, cfg) is None
+        after = execute(state, ActionPair(leader), cfg).quantized()
+        assert follower_select(after, subgoal, leader, cfg) is None
 
 
 class TestAct:
@@ -134,7 +145,7 @@ class TestAct:
         state = state_of(np.column_stack([xs, np.full(m, 0.3)]))
         goal_q = state.q + [0.0, 0.12]
         subgoal = state_of(goal_q)
-        pair = act(state, subgoal, cfg)
+        pair = step(LeaderFollower(cfg), state, subgoal, cfg)
         assert pair is not None
         assert pair.follower is not None
         assert pair.leader.arm_id != pair.follower.arm_id
@@ -149,7 +160,7 @@ class TestAct:
             assert math.hypot(x - 0.8, y - 0.3) > cfg.reach_max
             assert cfg.reach_min < math.hypot(x - 0.2, y - 0.3) < cfg.reach_max
         subgoal = state_of(state.q + [0.0, 0.05])
-        pair = act(state, subgoal, cfg)
+        pair = step(LeaderFollower(cfg), state, subgoal, cfg)
         assert pair is not None
         assert pair.leader.arm_id == 1
         assert pair.follower is None
@@ -160,7 +171,8 @@ class TestAct:
         xs = np.linspace(0.35, 0.35 + 0.03 * (m - 1), m)
         state = state_of(np.column_stack([xs, np.full(m, 0.25)]))
         subgoal = state_of(state.q + [0.01, 0.08])
-        assert act(state, subgoal, cfg) == act(state, subgoal, cfg)
+        ctl = LeaderFollower(cfg)
+        assert step(ctl, state, subgoal, cfg) == step(ctl, state, subgoal, cfg)
 
 
 class TestAblationControllers:
@@ -172,18 +184,20 @@ class TestAblationControllers:
         self.subgoal = state_of(self.state.q + [0.0, 0.1])
 
     def test_only_leader_has_no_follower(self):
-        pair = only_leader(self.state, self.subgoal, self.cfg)
+        pair = step(OnlyLeader(self.cfg), self.state, self.subgoal, self.cfg)
         assert pair is not None
         assert pair.follower is None
 
     def test_random_control_reproducible(self):
-        a = random_control(self.state, self.subgoal, self.cfg, make_rng(3))
-        b = random_control(self.state, self.subgoal, self.cfg, make_rng(3))
+        ctl = RandomControl(self.cfg)
+        a = step(ctl, self.state, self.subgoal, self.cfg, make_rng(3))
+        b = step(ctl, self.state, self.subgoal, self.cfg, make_rng(3))
         assert a == b
 
     def test_random_control_respects_constraints(self):
+        ctl = RandomControl(self.cfg)
         for seed in range(25):
-            pair = random_control(self.state, self.subgoal, self.cfg, make_rng(seed))
+            pair = step(ctl, self.state, self.subgoal, self.cfg, make_rng(seed))
             assert pair is not None
             for pp in pair.sequences():
                 assert pp.displacement() <= self.cfg.max_step + 1e-9
@@ -196,23 +210,20 @@ class TestAblationControllers:
                 assert pair.leader.arm_id != pair.follower.arm_id
 
     def test_random_single_arm_fallback(self):
-        pair = random_single_arm(self.state, self.subgoal, self.cfg, make_rng(1))
-        assert pair is not None
-        assert pair.follower is None
+        pp = random_single_arm(self.state, self.subgoal, self.cfg, make_rng(1))
+        assert isinstance(pp, PickPlace)
 
 
 class TestEmittedActionsFeasible:
     def test_all_emitted_actions_pass_feasibility(self, task_config, small_dataset):
         # controller outputs on real states always pass the swept check
-        from slackline.controller import LeaderFollower
-
         ctl = LeaderFollower(task_config)
         rng = make_rng(5)
         checked = 0
         for ep in small_dataset.episodes[:6]:
             goal = ep.achieved_goal
             for state in ep.states[:-1]:
-                pair = ctl.select(state, goal, rng)
+                pair = step(ctl, state, goal, task_config, rng)
                 if pair is None:
                     continue
                 obstacles = state.obstacles(task_config)
@@ -238,7 +249,7 @@ class TestScanOptimality:
                 got = leader_select(state, goal, task_config)
                 if got is None:
                     continue
-                _, k_star, pp = got
+                k_star = got.pick_index
                 q = state.q
                 g = goal.q
                 disc = np.hypot(g[:, 0] - q[:, 0], g[:, 1] - q[:, 1])
@@ -265,6 +276,9 @@ class TestScanOptimality:
         assert checked > 10
 
     def test_follower_picks_farthest_feasible(self, task_config, small_dataset):
+        # on the state the leader's drag left, no keypoint farther from the
+        # leader's pick than the chosen one (and beyond the separation
+        # threshold) admits a feasible drag for the other arm
         checked = 0
         for ep in small_dataset.episodes[:8]:
             goal = ep.achieved_goal
@@ -272,35 +286,35 @@ class TestScanOptimality:
                 leader = leader_select(state, goal, task_config)
                 if leader is None:
                     continue
-                follower = follower_select(state, goal, leader, task_config)
+                after = execute(state, ActionPair(leader), task_config).quantized()
+                follower = follower_select(after, goal, leader, task_config)
                 if follower is None:
                     continue
-                q = state.q
+                q = after.q
                 g = goal.q
                 m = q.shape[0]
-                k_star = leader[1]
+                lx, ly = leader.pick
                 d_f = math.hypot(
-                    q[follower.pick_index, 0] - q[k_star, 0],
-                    q[follower.pick_index, 1] - q[k_star, 1],
+                    q[follower.pick_index, 0] - lx, q[follower.pick_index, 1] - ly
                 )
-                obstacles = [tuple(c) for c in state.o.tolist()]
+                obstacles = [tuple(c) for c in after.o.tolist()]
                 from slackline.controller import _arm_feasible, clipped_place
 
                 for k in range(m):
-                    dk = math.hypot(q[k, 0] - q[k_star, 0], q[k, 1] - q[k_star, 1])
+                    dk = math.hypot(q[k, 0] - lx, q[k, 1] - ly)
                     if dk <= d_f or dk <= task_config.min_pick_separation:
                         continue
                     d_first = math.hypot(q[k, 0] - q[0, 0], q[k, 1] - q[0, 1])
                     d_last = math.hypot(q[k, 0] - q[m - 1, 0], q[k, 1] - q[m - 1, 1])
                     end = 0 if d_first <= d_last else m - 1
                     place = clipped_place(
-                        state, k, float(g[end, 0] - q[end, 0]),
+                        after, k, float(g[end, 0] - q[end, 0]),
                         float(g[end, 1] - q[end, 1]), task_config.max_step,
                     )
                     if place is None:
                         continue
                     assert not _arm_feasible(
-                        state, task_config, obstacles, 3 - leader[0], k, place
+                        after, task_config, obstacles, 3 - leader.arm_id, k, place
                     )
                 checked += 1
         assert checked > 5

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from slackline.controller import LeaderFollower
 from slackline.harness import EvalArtifacts, make_controller, make_planner
 from slackline.policy import EpisodeResult, run_episode
-from slackline.simulator import execute, generate_env, goal_reached
+from slackline.simulator import ActionPair, execute, generate_env, goal_reached
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,38 @@ class TestRunEpisode:
             assert result.success == goal_reached(result.states[-1], task_config)
             if not result.success:
                 assert result.failure in ("horizon", "no-action")
+
+
+class TestFollowerFromLeaderResult:
+    @pytest.mark.parametrize("name", ["leader-follower", "random-control"])
+    def test_follower_picks_where_the_leader_left_the_chain(
+        self, task_config, artifacts, name
+    ):
+        """Every logged follower picks its keypoint where the leader's drag
+        left it (at file precision), beyond the separation threshold from the
+        leader's pick, and the logged pair replays to the next state."""
+        planner = make_planner("random", artifacts, seed=3)
+        controller = make_controller(name, task_config)
+        followers = 0
+        for seed in range(6):
+            env = generate_env(task_config, 500 + seed)
+            result = run_episode(env, planner, controller, task_config, seed)
+            for t, action in enumerate(result.actions):
+                state = result.states[t]
+                if action.follower is not None:
+                    followers += 1
+                    after = execute(
+                        state, ActionPair(action.leader), task_config
+                    ).quantized()
+                    follower = action.follower
+                    assert follower.pick == tuple(after.q[follower.pick_index])
+                    assert math.hypot(
+                        follower.pick[0] - action.leader.pick[0],
+                        follower.pick[1] - action.leader.pick[1],
+                    ) > task_config.min_pick_separation
+                replayed = execute(state, action, task_config).quantized()
+                assert replayed == result.states[t + 1]
+        assert followers > 5
 
 
 class TestResultSerialization:

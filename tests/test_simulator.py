@@ -251,8 +251,10 @@ class TestExecute:
 
 
 # A leader-follower step of an evaluation episode (random planner, seed
-# 12345, episode 1, step 9) whose drags push 484 times, conflict 339 times
-# and clamp the cone 1855 times: the push backstop's path.
+# 12345, episode 1, step 9) as the controller once chose it: the follower's
+# pick was taken from the state before the leader's drag, which moves
+# keypoint 2. Executed from where the leader left it, that drag pushed the
+# chain out of a disc 484 times.
 PUSH_Q = [
     [0.644283726, 0.330335794], [0.614348862, 0.314433249],
     [0.584793455, 0.331030387], [0.58279061, 0.364867876],
@@ -268,11 +270,29 @@ PUSH_O = [
     [0.819383943, 0.123136266], [0.15633993, 0.310755669],
 ]
 
+# A single-arm drag of `explore.collect(TaskConfig(), episodes=200, seed=0)`
+# that the projection alone leaves 0.08 mm inside the disc at (0.180, 0.559):
+# the one push of that collect, and the path the push backstop still serves.
+COLLECT_PUSH_Q = [
+    [0.365925673, 0.435571464], [0.327471589, 0.458876392],
+    [0.287670973, 0.479798802], [0.28377221, 0.524594292],
+    [0.24882363, 0.552886218], [0.226937048, 0.592164886],
+    [0.182562534, 0.599427037], [0.138235456, 0.591880753],
+    [0.120635412, 0.550503529], [0.0882889845, 0.519269815],
+    [0.0459348298, 0.504171409], [0.0103459123, 0.531653498],
+    [0.0142425187, 0.576449176], [0.0540053014, 0.597443398],
+    [0.0931818744, 0.575374588], [0.112007965, 0.5345406],
+]
+COLLECT_PUSH_O = [
+    [0.927575267, 0.498430681], [0.700384938, 0.465891302],
+    [0.179759194, 0.559281937], [0.790591486, 0.309635598],
+]
+
 
 def golden_corpus():
     """(state, action, config) of every execute in the golden corpus: 300
-    arbitrary drags at obstacle radius 0.04 and 0.06, the PENETRATING
-    actions and the push-path action."""
+    arbitrary drags at obstacle radius 0.04 and 0.06 and the PENETRATING
+    actions."""
     for radius in (0.04, 0.06):
         config = sweep_config(TaskConfig(), "obstacle_radius", radius)
         for env in range(10):
@@ -291,18 +311,42 @@ def golden_corpus():
         for _ in range(index):
             state = execute(state, _arbitrary_action(state, config, rng), config)
         yield state, _arbitrary_action(state, config, rng), config
-    state = EnvState(np.array(PUSH_Q), np.array(PUSH_O))
-    yield state, ActionPair(
-        PickPlace(2, 13, tuple(PUSH_Q[13]), (0.526700279, 0.472354726)),
-        PickPlace(1, 2, tuple(PUSH_Q[2]), (0.544300274, 0.296037746)),
-    ), TaskConfig()
 
 
 class TestGolden:
     # sha256 of the golden corpus's quantized output states and ExecStats as
     # the executor without the disc-test cull produced them; a change to the
     # executor that moves it changes behaviour
-    DIGEST = "e0d72e638603130dde8d0b763df9fd388ff7a6803adfd5a314bb2d4c97653201"
+    DIGEST = "29591dead52b44df326e6a4ea94da21395a63d14e9d1f308cc52fde949331c14"
+
+    def test_stale_follower_pick_refused(self):
+        """The follower drag is checked against the state the leader's drag
+        left, where keypoint 2 no longer lies at the logged pick."""
+        state = EnvState(np.array(PUSH_Q), np.array(PUSH_O))
+        action = ActionPair(
+            PickPlace(2, 13, tuple(PUSH_Q[13]), (0.526700279, 0.472354726)),
+            PickPlace(1, 2, tuple(PUSH_Q[2]), (0.544300274, 0.296037746)),
+        )
+        with pytest.raises(InfeasibleActionError, match="keypoint 2"):
+            execute(state, action, TaskConfig())
+
+    # sha256 of the push-path action's quantized output state and ExecStats
+    PUSH_DIGEST = "86f7971e85cd75689fad91e8c45701f2daa4e5036ca4d2c3ba30a31e23584bad"
+
+    def test_push_path_unchanged(self):
+        state = EnvState(np.array(COLLECT_PUSH_Q), np.array(COLLECT_PUSH_O))
+        action = ActionPair(PickPlace(
+            1, 3, tuple(COLLECT_PUSH_Q[3]), (0.300705341, 0.510762385)
+        ))
+        config = TaskConfig()
+        out, stats = execute_with_stats(state, action, config)
+        assert stats.obstacle_pushes == 1
+        assert obstacle_penetration(out, config.obstacle_radius) <= 1e-3
+        digest = hashlib.sha256(json.dumps([
+            out.to_obj(), stats.joint_clamps, stats.obstacle_pushes,
+            stats.workspace_clamps, stats.placement_conflicts,
+        ]).encode()).hexdigest()
+        assert digest == self.PUSH_DIGEST
 
     # any positive cull allowance is exact; small ones make points fall back
     # to testing every obstacle often and leave few obstacles near
@@ -319,9 +363,7 @@ class TestGolden:
                 stats.workspace_clamps, stats.placement_conflicts,
             ]).encode())
             count += 1
-        assert count == 307
-        assert (stats.obstacle_pushes, stats.placement_conflicts,
-                stats.joint_clamps) == (484, 339, 1855)
+        assert count == 306
         assert digest.hexdigest() == self.DIGEST
 
     def test_budgets_bound_clearance_until_a_push(self, monkeypatch):
@@ -329,9 +371,7 @@ class TestGolden:
         pass is at most the obstacle's true clearance, so the pass may cull by
         it. `_near` is asked for the cull list only in that case. The pin is
         left out of the clearance: the pass neither moves nor tests it, and
-        the backstop scan, which skips it, refreshes a budget without it (the
-        follower drag of the push-path action drags its pin through a
-        disc)."""
+        the backstop scan, which skips it, refreshes a budget without it."""
         near = simulator._near
         constrained_pass = simulator._constrained_pass
         budgets = []
