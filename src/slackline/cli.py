@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -328,6 +329,8 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as err:
         raise UsageError(f"bad --values: {err}") from err
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"bad --values: {args.values!r} holds a non-finite number")
     if not values:
         raise UsageError("empty --values")
     t0 = time.perf_counter()

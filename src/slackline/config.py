@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
@@ -38,6 +39,7 @@ class TaskConfig:
     horizon_max: int = 12
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.keypoint_count < 3:
             raise ValueError(f"keypoint_count must be >= 3, got {self.keypoint_count}")
         lo, hi = self.dlo_length_range
@@ -96,6 +98,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
         for name in ("embed_dim", "batch_anchors", "epochs"):
@@ -103,6 +106,19 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
+
+
+def _finite(value: Any) -> bool:
+    if isinstance(value, (tuple, list)):
+        return all(_finite(v) for v in value)
+    return math.isfinite(value)
+
+
+def _check_finite(cfg: Any) -> None:
+    """Refuse a NaN or an infinity in any field, tuple items included."""
+    for name, value in vars(cfg).items():
+        if not _finite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _fits(value: Any, default: Any) -> bool:
@@ -140,7 +156,10 @@ def _apply_fields(cfg: Any, data: Any, source: str) -> Any:
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         coerced[key] = value
-    return replace(cfg, **coerced)
+    try:
+        return replace(cfg, **coerced)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from err
 
 
 def load_config_file(path: str) -> tuple[TaskConfig, TrainConfig]:

@@ -315,11 +315,20 @@ def load_dataset(path: str) -> Dataset:
             f"(expected {DATASET_SCHEMA!r})"
         )
     try:
-        config = _apply_fields(TaskConfig(), header["config"], f"{path}: config")
+        config = _apply_fields(TaskConfig(), header["config"], "config")
         goals = tuple(EnvState.from_obj(s) for s in header["goals"])
         declared = int(header["episodes"])
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedDatasetError(f"{path}:1: bad header: {err}") from err
+    # every state must fit the header's task; a goal is a chain shape only
+    # (collect may draw goals from a pool built under other obstacles)
+    shapes = ((config.keypoint_count, 2), (config.obstacle_count, 2))
+    for goal in goals:
+        if goal.q.shape != shapes[0]:
+            raise MalformedDatasetError(
+                f"{path}:1: goal shape q {goal.q.shape}; the header gives "
+                f"q {shapes[0]}"
+            )
     episodes: list[Episode] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -328,6 +337,13 @@ def load_dataset(path: str) -> Dataset:
             episodes.append(Episode.from_obj(json.loads(line)))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise MalformedDatasetError(f"{path}:{lineno}: {err}") from err
+        for state in episodes[-1].states:
+            if (state.q.shape, state.o.shape) != shapes:
+                raise MalformedDatasetError(
+                    f"{path}:{lineno}: state shapes q {state.q.shape}, "
+                    f"o {state.o.shape}; the header gives q {shapes[0]}, "
+                    f"o {shapes[1]}"
+                )
     if len(episodes) != declared:
         raise MalformedDatasetError(
             f"{path}: header declares {declared} episodes, found {len(episodes)} "

@@ -5,13 +5,14 @@ per-joint bend limit. A pick-and-place action pins one keypoint and drags it
 along a straight segment in 64 substeps; after each substep up to 10
 projection iterations re-solve the chain with a constrained follow-the-leader
 pass outward from the pin (exact link lengths, bends clamped into the joint
-cone, placements kept inside the workspace and outside the obstacle discs),
-with radial pushes as a backstop for residual penetrations. When a point has
-no placement that satisfies its cone, the walls and the discs, the pass turns
-the already placed chain beyond one joint nearer the pin, within that
-joint's bend slack, so that the point has one. A settle phase at the end of
-the drag plus a final exact inextensibility rebuild make link lengths exact
-while preserving link directions, so bend angles survive unchanged.
+cone, placements kept inside the workspace and outside the obstacle discs).
+When a point has no placement that satisfies its cone, the walls and the
+discs, the pass turns the already placed chain beyond one joint nearer the
+pin, within that joint's bend slack, so that the point has one; where no
+turn gives one, the cone wins and the point may be left in contact with a
+disc. A settle phase at the end of the drag plus a final exact
+inextensibility rebuild make link lengths exact while preserving link
+directions, so bend angles survive unchanged.
 
 A bimanual action runs its leader's drag, then its follower's drag from the
 leader's result at file precision; each drag is checked against the state
@@ -19,9 +20,11 @@ it starts from.
 
 The executor's contract on every executed action: link lengths exact to
 1e-9, every bend within the joint limit plus 1e-9, and no keypoint or link
-midpoint more than 1 mm inside an obstacle disc. The walls are not part of
-it: a chain pressed against a wall by constraints that genuinely conflict
-can be left outside the workspace.
+midpoint more than 1 mm inside an obstacle disc. Contact less than 1 mm deep,
+left where the cone wins, is accepted; the projection is the only contact
+mechanism. The walls are not part of the contract: a chain pressed against a
+wall by constraints that genuinely conflict can be left outside the
+workspace.
 
 Everything here is a pure function of (state, action, config) or of
 (config, seed); there is no hidden state and no wall-clock dependence.
@@ -198,7 +201,7 @@ class ExecStats:
     """Projection diagnostics, mainly for tests and audits."""
 
     joint_clamps: int = 0
-    obstacle_pushes: int = 0
+    obstacle_pushes: int = 0  # always 0: no pass pushes points out of a disc
     workspace_clamps: int = 0
     placement_conflicts: int = 0
 
@@ -313,33 +316,18 @@ def _drag(
     the constrained follow-the-leader pass, which restores link lengths while
     keeping bends inside the joint cone and placements inside the workspace
     and outside the obstacle discs; chains pressed against a wall or an
-    obstacle slide along it. Residual penetrations deeper than the contact
-    tolerance are pushed out radially when accumulated motion may have
-    consumed the last measured clearance. A settle phase guarantees the drag
-    never finishes mid-fight, and the exact rebuild makes link lengths exact
-    while preserving directions, so bends survive it unchanged. The drag
-    leaves no keypoint or link midpoint more than 1 mm inside a disc.
+    obstacle slide along it. Where the cone wins, a point may be left in
+    contact with a disc; contact under 1 mm is accepted. A settle phase
+    guarantees the drag never finishes mid-fight, and the exact rebuild makes
+    link lengths exact while preserving directions, so bends survive it.
 
     `budgets` holds one lower bound per obstacle on the clearance of every
     keypoint but the pin and of every link midpoint (the pass neither moves
-    nor tests the pin, and the backstop skips it). A budget is measured at
-    the start and by each backstop scan that pushes nothing. Both
-    measurements count the pin too (a scan whenever the pin lies outside
-    the deep radius); that can only lower them, so they stay bounds. A
-    budget is charged with the pin's increment, each pass's displacement
-    bound and the displacement of every push. Each pass gets the obstacles
-    whose budget is within _CULL_ALLOWANCE and skips the disc tests of the
-    others while a point moves less than that (see `_constrained_pass`).
-    The backstop scans only obstacles whose budget is used up (at most 0).
-    Budgets only fall between a pass and the backstop that follows it, so
-    within a substep the backstop runs only when the pass's charge reports
-    a used-up budget; otherwise it would scan nothing and push nothing. The
-    settle phase runs it before every pass. A scan that pushes restarts its
-    obstacle's budget at zero without measuring it, and a push can leave a
-    point inside the disc (by up to the contact tolerance, or more when a
-    later push of the same scan moves it), so after a drag's first push the
-    budgets stop being proven bounds: every later pass of the drag tests
-    every obstacle.
+    nor tests the pin). A budget is measured, the pin included, at the start
+    and whenever a pass's charge leaves it at most 0; it is charged with the
+    pin's increment and each pass's displacement bound. Each pass skips the
+    disc tests of obstacles whose budget exceeds _CULL_ALLOWANCE while a
+    point moves less than that (see `_constrained_pass`).
     """
     x0 = xs[pin]
     y0 = ys[pin]
@@ -352,31 +340,22 @@ def _drag(
     sin_lim = math.sin(config.joint_limit)
     dot_lim = cos_lim * link_len * link_len
 
-    # backstop scans touch an obstacle only when accumulated motion may have
-    # consumed its budget (scanning a clean obstacle never moves points, so
-    # skipping it cannot change the result)
     budgets = [_obstacle_margin(xs, ys, c, mu) for c in obstacles]
-    pushes_before = stats.obstacle_pushes
 
-    # one constrained pass, culled until this drag pushes; returns its
-    # displacement bound, charged to every budget, its conflict count, and
-    # whether any budget is used up (only then has the backstop work)
-    def project() -> tuple[float, int, bool]:
+    # one culled pass; returns its displacement bound and conflict count
+    def project() -> tuple[float, int]:
         max_move, conflicts, cone = _constrained_pass(
             xs, ys, pin, link_len, cos_lim, sin_lim, dot_lim,
-            width, height, obstacles, mu,
-            None if stats.obstacle_pushes > pushes_before
-            else _near(obstacles, budgets),
+            width, height, obstacles, mu, _near(obstacles, budgets),
         )
         stats.joint_clamps += cone
         stats.placement_conflicts += conflicts
-        spent = False
         for b in range(len(budgets)):
             budget = budgets[b] - max_move
-            budgets[b] = budget
             if budget <= 0.0:
-                spent = True
-        return max_move, conflicts, spent
+                budget = _obstacle_margin(xs, ys, obstacles[b], mu)
+            budgets[b] = budget
+        return max_move, conflicts
 
     inv = 1.0 / SUBSTEPS
     step_x = tx - x0
@@ -400,49 +379,17 @@ def _drag(
             budgets[b] -= moved
 
         for _ in range(PROJECTION_ITERS):
-            max_move, conflicts, spent = project()
-            # with no budget used up the backstop would scan nothing
-            if spent and _backstop(xs, ys, pin, obstacles, budgets, mu, stats):
-                continue
+            max_move, conflicts = project()
             if not conflicts or max_move <= _CONVERGED:
                 break
 
-    # settle: rounds end with the constrained pass, so the chain leaves the
-    # drag with exact lengths and in-cone bends
+    # settle: passes until one moves nothing, so the drag ends on a pass
     for _ in range(SETTLE_ITERS):
-        pushes = _backstop(xs, ys, pin, obstacles, budgets, mu, stats)
-        max_move, _, _ = project()
-        if not pushes and max_move <= _CONVERGED:
+        max_move, _ = project()
+        if max_move <= _CONVERGED:
             break
 
     _exact_rebuild(xs, ys, pin, link_len)
-
-
-def _backstop(
-    xs: list[float],
-    ys: list[float],
-    pin: int,
-    obstacles: list[tuple[float, float]],
-    budgets: list[float],
-    mu: float,
-    stats: ExecStats,
-) -> int:
-    """Scan every obstacle whose budget is used up: push what lies inside
-    it, refresh its budget, and charge the push displacement to every other
-    budget. Adds the pushes to `stats` and returns their count."""
-    pushes = 0
-    for b in range(len(budgets)):
-        if budgets[b] <= 0.0:
-            p, budgets[b], shifted = _resolve_obstacles(
-                xs, ys, pin, obstacles[b], mu
-            )
-            if p:
-                pushes += p
-                for other in range(len(budgets)):
-                    if other != b:
-                        budgets[other] -= shifted
-    stats.obstacle_pushes += pushes
-    return pushes
 
 
 # Disc-test cull. A point whose displacement bound in a pass stays below
@@ -477,7 +424,7 @@ def _constrained_pass(
     height: float,
     obstacles: list[tuple[float, float]],
     mu: float,
-    near: list[tuple[float, float]] | None,
+    near: list[tuple[float, float]],
 ) -> tuple[float, int, int]:
     """Follow-the-leader projection outward from the pin in both directions.
 
@@ -489,19 +436,18 @@ def _constrained_pass(
     that one does (`_unwind`); what still conflicts resolves in favor of the
     cone and is counted as a conflict.
 
-    Disc tests are culled when `near` is given: the obstacles whose clearance
-    budget, a lower bound on the clearance of every keypoint but the pin and
-    of every link midpoint at the start of the pass, is within
-    _CULL_ALLOWANCE. A candidate
-    placement moves its point by `move` from where the pass found it, and
-    the trailing midpoint moves by at most the larger of that and its
-    neighbor's displacement; every placed point has moved at most
+    Disc tests are culled to `near`: the obstacles whose clearance budget, a
+    lower bound on the clearance of every keypoint but the pin and of every
+    link midpoint at the start of the pass, is within _CULL_ALLOWANCE. A
+    candidate placement moves its point by `move` from where the pass found
+    it, and the trailing midpoint moves by at most the larger of that and
+    its neighbor's displacement; every placed point has moved at most
     `max_move + unwound` so far. While that bound stays below the allowance
     less _CULL_SLACK, only the near obstacles can make a test fire, so only
-    they are tested; otherwise every obstacle is. `near` is None when the
-    budgets are not bounds. The cull decides which tests run, never their
-    outcome, so the placements are those of testing every obstacle.
-    `_place_constrained` and `_unwind` always see every obstacle.
+    they are tested; otherwise every obstacle is. The cull decides which
+    tests run, never their outcome, so the placements are those of testing
+    every obstacle. `_place_constrained` and `_unwind` always see every
+    obstacle.
 
     Returns (bound on any point's displacement, conflict count, cone clamp
     count).
@@ -519,8 +465,6 @@ def _constrained_pass(
     cone_dot = dot_lim * inv_len  # threshold for dot(raw link, unit ref)
     reach = link_len + mu
     mu2 = mu * mu
-    if near is None:
-        near = obstacles
     cull_below = _CULL_ALLOWANCE - _CULL_SLACK
 
     for direction in (1, -1):
@@ -956,78 +900,6 @@ def _unwind(
                     ys[p] = py
                 return moved, nx, ny, clamped
     return None
-
-
-def _resolve_obstacles(
-    xs: list[float],
-    ys: list[float],
-    pin: int,
-    center: tuple[float, float],
-    mu: float,
-) -> tuple[int, float, float]:
-    """Push keypoints and link midpoints that lie deeper than the contact
-    tolerance _FEAS_OBS inside the disc at `center` (the depth to which
-    placements may touch it) to its surface; returns (push count, fresh
-    clearance margin, bound on any point's displacement). After pushes the
-    margin is conservatively zero, which forces a rescan on the next
-    iteration. The pin is never pushed. It is counted in the margin whenever
-    it lies outside the deep radius; a margin over more points can only be
-    smaller, so it stays a lower bound on the clearance of the others."""
-    pushes = 0
-    shifted = 0.0
-    m = len(xs)
-    deep2 = (mu - _FEAS_OBS) * (mu - _FEAS_OBS)
-    min_d2 = math.inf
-    ox, oy = center
-    for i in range(m):
-        dx = xs[i] - ox
-        dy = ys[i] - oy
-        d2 = dx * dx + dy * dy
-        if d2 < deep2:
-            if i == pin:
-                continue
-            d = math.sqrt(d2)
-            if d < 1e-15:
-                dx, dy, d = 1.0, 0.0, 1.0
-            scale = mu / d
-            xs[i] = ox + dx * scale
-            ys[i] = oy + dy * scale
-            shifted += abs(mu - d)
-            pushes += 1
-        elif d2 < min_d2:
-            min_d2 = d2
-    for i in range(m - 1):
-        mx = 0.5 * (xs[i] + xs[i + 1])
-        my = 0.5 * (ys[i] + ys[i + 1])
-        dx = mx - ox
-        dy = my - oy
-        d2 = dx * dx + dy * dy
-        if d2 < deep2:
-            d = math.sqrt(d2)
-            if d < 1e-15:
-                dx, dy, d = 1.0, 0.0, 1.0
-            shift = mu / d - 1.0
-            sx = dx * shift
-            sy = dy * shift
-            if i == pin:
-                xs[i + 1] += 2.0 * sx
-                ys[i + 1] += 2.0 * sy
-            elif i + 1 == pin:
-                xs[i] += 2.0 * sx
-                ys[i] += 2.0 * sy
-            else:
-                xs[i] += sx
-                ys[i] += sy
-                xs[i + 1] += sx
-                ys[i + 1] += sy
-            # each end moves |mu - d|, twice that next to the pin
-            shifted += 2.0 * abs(mu - d)
-            pushes += 1
-        elif d2 < min_d2:
-            min_d2 = d2
-    if pushes:
-        return pushes, 0.0, shifted
-    return 0, math.sqrt(min_d2) - mu, 0.0
 
 
 def _obstacle_margin(

@@ -268,8 +268,8 @@ def test_criterion_2_simulator_invariants(pipeline):
             pp = action.leader
             # only a workspace clamp of the pin target or an obstacle at the
             # path can obstruct the pin; cone clamps never move it, since the
-            # projection works outward from the pin, the pushes skip it and
-            # the exact rebuild starts at it
+            # projection works outward from the pin and the exact rebuild
+            # starts at it
             unobstructed = stats.workspace_clamps == 0
             if unobstructed and len(state.o):
                 path_clear = all(

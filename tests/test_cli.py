@@ -1,15 +1,18 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from slackline.cli import main
-from slackline.explore import save_dataset
+from slackline.explore import Dataset, save_dataset
+from slackline.simulator import EnvState
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +112,14 @@ class TestExitCodes:
         ({"task": {"arm_bases": [[0.16, 0.3], [0.84, None]]}}, "arm_bases"),
         ({"train": {"epochs": 2.5}}, "epochs"),
         ({"train": {"learning_rate": None}}, "learning_rate"),
+        # json writes these as the Infinity and NaN literals json.load accepts
+        ({"task": {"reach_max": math.inf}}, "reach_max must be finite"),
+        ({"task": {"obstacle_radius": math.nan}}, "obstacle_radius must be finite"),
+        ({"task": {"dlo_length_range": [0.5, math.inf]}},
+         "dlo_length_range must be finite"),
+        ({"task": {"arm_bases": [[0.16, math.nan], [0.84, 0.3]]}},
+         "arm_bases must be finite"),
+        ({"train": {"learning_rate": math.nan}}, "learning_rate must be finite"),
     ])
     def test_mistyped_config_exits_2(self, tmp_path, capsys, dataset_path,
                                      config, field):
@@ -203,8 +214,19 @@ class TestTaskFit:
 
     @staticmethod
     def header_copy(tmp_path, dataset, **fields) -> str:
+        """`dataset` saved under a header changed by `fields`, its states cut
+        or padded (by repeating rows) to the keypoint and obstacle counts
+        that header gives, as a file collected for that task would be."""
+        config = replace(dataset.config, **fields)
+
+        def fit(state):
+            return EnvState(np.resize(state.q, (config.keypoint_count, 2)),
+                            np.resize(state.o, (config.obstacle_count, 2)))
+
+        episodes = tuple(replace(ep, states=tuple(map(fit, ep.states)))
+                         for ep in dataset.episodes)
         path = tmp_path / "ds.jsonl"
-        save_dataset(replace(dataset, config=replace(dataset.config, **fields)),
+        save_dataset(Dataset(episodes, tuple(map(fit, dataset.goal_pool)), config),
                      str(path))
         return str(path)
 
@@ -260,6 +282,62 @@ class TestTaskFit:
                        "--episodes", "1", "--out", str(tmp_path / "r"))
         assert code == 2
         assert f"{copy}.json: workspace [1.2, 0.6]" in capsys.readouterr().err
+
+
+class TestInputChecks:
+    """Non-finite config numbers and wrongly shaped dataset states are
+    refused where they come in, with a message naming the source."""
+
+    @staticmethod
+    def edited_copy(tmp_path, dataset_path, lineno, edit) -> str:
+        with open(dataset_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        obj = json.loads(lines[lineno - 1])
+        edit(obj)
+        lines[lineno - 1] = json.dumps(obj)
+        path = tmp_path / "edited.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_non_finite_dataset_header_exits_2(self, tmp_path, capsys,
+                                               dataset_path):
+        def edit(header):
+            header["config"]["reach_max"] = math.inf
+
+        path = self.edited_copy(tmp_path, dataset_path, 1, edit)
+        code = run_cli("run", "--dataset", path, "--planner", "template",
+                       "--seed", "1", "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1" in err and "reach_max must be finite" in err
+
+    def test_non_finite_sweep_value_exits_1(self, tmp_path, capsys, dataset_path,
+                                            encoder_path):
+        out = tmp_path / "r"
+        code = run_cli("sweep", "--dataset", dataset_path, "--encoder",
+                       encoder_path, "--param", "reach_max", "--values",
+                       "0.4,inf", "--episodes", "1", "--out", str(out))
+        assert code == 1
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
+
+    # one keypoint short in a goal of the header, or in an episode's state
+    @pytest.mark.parametrize("lineno, key, message", [
+        (1, "goals", "goal shape q (15, 2)"),
+        (3, "states", "state shapes q (15, 2)"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_state_shape_mismatch_exits_2(self, tmp_path, capsys, dataset_path,
+                                          command, lineno, key, message):
+        def edit(obj):
+            obj[key][1]["q"].pop()
+
+        path = self.edited_copy(tmp_path, dataset_path, lineno, edit)
+        extra = (["--out", str(tmp_path / "e.bin")] if command == "train" else
+                 ["--matrix", "fixed:leader-follower", "--episodes", "1",
+                  "--out", str(tmp_path / "r")])
+        assert run_cli(command, "--dataset", path, *extra) == 2
+        assert f"{path}:{lineno}: {message}" in capsys.readouterr().err
 
 
 class TestRun:

@@ -11,7 +11,9 @@ OPENBLAS_NUM_THREADS=1 `test_encoder` reads 935c4dc4de40... instead of the
 pinned 41e6810c8809..., which 2, 3 and 4 threads all give (a (256x528) @
 (528x256) product already differs between 1 and 2 threads). ENCODER is the
 multi-threaded result; the other digests that depend on the encoder are
-pinned at the same setting."""
+pinned at the same setting. The conftest.py at the root of the repository
+sets OPENBLAS_NUM_THREADS=2 before numpy loads, so these digests hold
+whatever thread count the calling shell exports."""
 
 import hashlib
 import json

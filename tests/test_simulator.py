@@ -271,8 +271,8 @@ PUSH_O = [
 ]
 
 # A single-arm drag of `explore.collect(TaskConfig(), episodes=200, seed=0)`
-# that the projection alone leaves 0.08 mm inside the disc at (0.180, 0.559):
-# the one push of that collect, and the path the push backstop still serves.
+# that the projection leaves 0.078 mm inside the disc at (0.180, 0.559), where
+# the cone wins: the deepest accepted contact of that collect.
 COLLECT_PUSH_Q = [
     [0.365925673, 0.435571464], [0.327471589, 0.458876392],
     [0.287670973, 0.479798802], [0.28377221, 0.524594292],
@@ -330,18 +330,22 @@ class TestGolden:
         with pytest.raises(InfeasibleActionError, match="keypoint 2"):
             execute(state, action, TaskConfig())
 
-    # sha256 of the push-path action's quantized output state and ExecStats
-    PUSH_DIGEST = "86f7971e85cd75689fad91e8c45701f2daa4e5036ca4d2c3ba30a31e23584bad"
+    # sha256 of the former push path's quantized output state and ExecStats
+    PUSH_DIGEST = "c2612bab041a6120ede05420bfc35c8f41fb281883630f486360e6fd9008f35c"
 
-    def test_push_path_unchanged(self):
+    def test_former_push_path_within_contract(self):
+        """The drag ends in contact with a disc, within the 1 mm contract,
+        with exact links and in-cone bends, and pushes nothing."""
         state = EnvState(np.array(COLLECT_PUSH_Q), np.array(COLLECT_PUSH_O))
         action = ActionPair(PickPlace(
             1, 3, tuple(COLLECT_PUSH_Q[3]), (0.300705341, 0.510762385)
         ))
         config = TaskConfig()
         out, stats = execute_with_stats(state, action, config)
-        assert stats.obstacle_pushes == 1
-        assert obstacle_penetration(out, config.obstacle_radius) <= 1e-3
+        assert stats.obstacle_pushes == 0
+        assert 0.0 < obstacle_penetration(out, config.obstacle_radius) <= 1e-3
+        assert np.abs(link_lengths(out) - state.link_length()).max() < 1e-9
+        assert bend_angles(out).max() <= config.joint_limit + 1e-9
         digest = hashlib.sha256(json.dumps([
             out.to_obj(), stats.joint_clamps, stats.obstacle_pushes,
             stats.workspace_clamps, stats.placement_conflicts,
@@ -366,12 +370,10 @@ class TestGolden:
         assert count == 306
         assert digest.hexdigest() == self.DIGEST
 
-    def test_budgets_bound_clearance_until_a_push(self, monkeypatch):
-        """Until a drag's first push, every clearance budget at the start of a
-        pass is at most the obstacle's true clearance, so the pass may cull by
-        it. `_near` is asked for the cull list only in that case. The pin is
-        left out of the clearance: the pass neither moves nor tests it, and
-        the backstop scan, which skips it, refreshes a budget without it."""
+    def test_budgets_bound_clearance(self, monkeypatch):
+        """Every clearance budget at the start of a pass is at most the
+        obstacle's true clearance, so the pass may cull by it. The pin is
+        left out of the clearance: the pass neither moves nor tests it."""
         near = simulator._near
         constrained_pass = simulator._constrained_pass
         budgets = []
@@ -383,17 +385,15 @@ class TestGolden:
 
         def checking_pass(xs, ys, pin, *args):
             nonlocal checked
-            obstacles, mu, cull = args[-3:]
-            if cull is not None:
-                assert len(budgets) == len(obstacles)
-                points = [(x, y) for i, (x, y) in enumerate(zip(xs, ys))
-                          if i != pin]
-                points += [(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[i] + ys[i + 1]))
-                           for i in range(len(xs) - 1)]
-                for (ox, oy), budget in zip(obstacles, budgets):
-                    true = min(math.hypot(x - ox, y - oy) for x, y in points) - mu
-                    assert budget <= true + 1e-12
-                    checked += 1
+            obstacles, mu = args[-3:-1]
+            assert len(budgets) == len(obstacles)
+            points = [(x, y) for i, (x, y) in enumerate(zip(xs, ys)) if i != pin]
+            points += [(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[i] + ys[i + 1]))
+                       for i in range(len(xs) - 1)]
+            for (ox, oy), budget in zip(obstacles, budgets):
+                true = min(math.hypot(x - ox, y - oy) for x, y in points) - mu
+                assert budget <= true + 1e-12
+                checked += 1
             return constrained_pass(xs, ys, pin, *args)
 
         monkeypatch.setattr(simulator, "_near", recording_near)
