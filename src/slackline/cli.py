@@ -13,20 +13,18 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
+from functools import partial
 
-from .config import TaskConfig, TrainConfig, load_config_file
+from . import __version__
+from .config import TaskConfig, TrainConfig, config_digest, load_config_file
 from .encoder import (
     MlpParams,
     ParamsFormatError,
-    container_bytes,
     load_params,
     params_digest,
-    read_container,
-    read_sidecar_workspace,
     save_params,
     train,
-    write_sidecar,
 )
 from .explore import (
     DatasetVersionError,
@@ -49,7 +47,7 @@ from .harness import (
     sweep,
     write_run_manifest,
 )
-from .planner import AeParams, train_autoencoder
+from .planner import train_autoencoder
 from .policy import EpisodeResult, run_episode
 from .seeding import derive_seed
 from .simulator import GenerationError, InfeasibleActionError, generate_env
@@ -89,44 +87,8 @@ def _load_dataset_checked(path: str):
     return load_dataset(path)
 
 
-def _load_encoder_checked(path: str):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"encoder file not found: {path}")
-    return load_params(path)
-
-
-AE_MAGIC = b"SLAE"
-AE_VERSION = 1
-
-
-def _ae_container(ae: AeParams) -> bytes:
-    return container_bytes(AE_MAGIC, AE_VERSION, ae.sizes, (ae.latent_layer,),
-                           ae.weights, ae.biases)
-
-
-def _ae_digest(ae: AeParams | None) -> str | None:
-    """sha256 of the autoencoder's file container, None without one."""
-    return None if ae is None else hashlib.sha256(_ae_container(ae)).hexdigest()
-
-
-def _save_ae(ae: AeParams, path: str, cfg: TrainConfig) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_ae_container(ae))
-    write_sidecar(path, ae.workspace, train=asdict(cfg))
-
-
-def load_ae(path: str) -> AeParams:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"autoencoder file not found: {path}")
-    sizes, (latent_layer,), weights, biases = read_container(
-        path, AE_MAGIC, AE_VERSION, header_fields=1
-    )
-    if not 0 < latent_layer < len(sizes) - 1:
-        raise ParamsFormatError(
-            f"{path}: latent layer {latent_layer} outside {len(sizes)} layers"
-        )
-    return AeParams(sizes, weights, biases, latent_layer,
-                    read_sidecar_workspace(path))
+def load_ae(path: str) -> MlpParams:
+    return load_params(path, autoencoder=True)
 
 
 def _parse_matrix(spec: str) -> list[tuple[str, str]]:
@@ -147,6 +109,11 @@ def _print_progress(kept: int, total: int) -> None:
     """One stderr line at each tenth of the episodes to collect."""
     if kept * 10 // total > (kept - 1) * 10 // total:
         print(f"collect: {kept}/{total} episodes", file=sys.stderr)
+
+
+def _print_epoch(command: str, epoch: int, epochs: int, loss: float) -> None:
+    """One stderr line per training epoch."""
+    print(f"{command}: epoch {epoch}/{epochs} loss {loss:.6f}", file=sys.stderr)
 
 
 def _file_sha256(path: str) -> str:
@@ -177,15 +144,21 @@ def _cmd_collect(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def _fit(args, fit):
+    """Train a model with `fit`, one stderr line per epoch, and save it to
+    --out; returns (report, seconds)."""
     dataset = _load_dataset_checked(args.dataset)
     _, train_cfg = _load_configs(args.config)
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
     t0 = time.perf_counter()
-    report = train(dataset, train_cfg)
+    report = fit(dataset, train_cfg, progress=partial(_print_epoch, args.command))
     save_params(report.params, args.out, train_cfg, report.epoch_losses)
-    dt = time.perf_counter() - t0
+    return report, time.perf_counter() - t0
+
+
+def _cmd_train(args) -> int:
+    report, dt = _fit(args, train)
     print(
         f"trained encoder in {dt:.1f}s; per-epoch loss "
         f"{report.epoch_losses[0]:.4f} -> {report.epoch_losses[-1]:.4f}; "
@@ -195,14 +168,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_train_ae(args) -> int:
-    dataset = _load_dataset_checked(args.dataset)
-    _, train_cfg = _load_configs(args.config)
-    if args.seed is not None:
-        train_cfg = replace(train_cfg, seed=args.seed)
-    t0 = time.perf_counter()
-    report = train_autoencoder(dataset, train_cfg)
-    _save_ae(report.params, args.out, train_cfg)
-    dt = time.perf_counter() - t0
+    report, dt = _fit(args, train_autoencoder)
     print(
         f"trained autoencoder in {dt:.1f}s; reconstruction loss "
         f"{report.epoch_losses[0]:.6f} -> {report.epoch_losses[-1]:.6f} "
@@ -217,7 +183,7 @@ LAYOUT_FIELDS = ("keypoint_count", "obstacle_count", "workspace_width",
                  "workspace_height")
 
 
-def _check_model(path: str, model: MlpParams | AeParams, task: TaskConfig):
+def _check_model(path: str, model: MlpParams, task: TaskConfig):
     input_dim = (task.keypoint_count + task.obstacle_count) * 2
     if model.sizes[0] != input_dim:
         raise TaskMismatchError(
@@ -233,7 +199,8 @@ def _check_model(path: str, model: MlpParams | AeParams, task: TaskConfig):
 
 def _build_artifacts(args, dataset, task: TaskConfig) -> EvalArtifacts:
     """The dataset and models of a run; TaskMismatchError naming the file
-    and the field if one of them does not fit `task`."""
+    and the field if one of them does not fit `task`. Other task fields may
+    differ from the dataset header; one stderr line names them."""
     for field in LAYOUT_FIELDS:
         found, want = getattr(dataset.config, field), getattr(task, field)
         if found != want:
@@ -241,10 +208,18 @@ def _build_artifacts(args, dataset, task: TaskConfig) -> EvalArtifacts:
                 f"{args.dataset}: header {field} = {found}, the task in force "
                 f"has {want} (pass the config it was collected with)"
             )
+    differ = [
+        f"{f.name} = {getattr(task, f.name)} (header {getattr(dataset.config, f.name)})"
+        for f in fields(TaskConfig)
+        if getattr(task, f.name) != getattr(dataset.config, f.name)
+    ]
+    if differ:
+        print(f"slackline: note: {args.dataset}: the task in force differs from "
+              f"the header: {', '.join(differ)}", file=sys.stderr)
     encoder = None
     ae = None
     if getattr(args, "encoder", None):
-        encoder = _load_encoder_checked(args.encoder)
+        encoder = load_params(args.encoder)
         _check_model(args.encoder, encoder, task)
     if getattr(args, "autoencoder", None):
         ae = load_ae(args.autoencoder)
@@ -310,9 +285,11 @@ def _cmd_eval(args) -> int:
         cells=cells,
         train=train_cfg,
         encoder=artifacts.encoder,
-        autoencoder_digest=_ae_digest(artifacts.autoencoder),
+        autoencoder=artifacts.autoencoder,
         dataset_path=args.dataset,
-        extra={"dataset_sha256": dataset_sha256, "episodes": args.episodes,
+        extra={"dataset_sha256": dataset_sha256,
+               "dataset_config_digest": config_digest(dataset.config),
+               "version": __version__, "episodes": args.episodes,
                "workers": args.workers, "elapsed_seconds": round(dt, 3)},
     )
     print(table.csv(), end="")
@@ -353,10 +330,12 @@ def _cmd_sweep(args) -> int:
         result.env_seeds,
         train=train_cfg,
         encoder=artifacts.encoder,
-        autoencoder_digest=_ae_digest(artifacts.autoencoder),
+        autoencoder=artifacts.autoencoder,
         dataset_path=args.dataset,
         extra={
             "dataset_sha256": dataset_sha256,
+            "dataset_config_digest": config_digest(dataset.config),
+            "version": __version__,
             "sweep_param": args.param,
             "sweep_values": values,
             "episodes": args.episodes,

@@ -1,4 +1,4 @@
-"""Contrastive state encoder.
+"""Contrastive state encoder, and the MLP it shares with the autoencoder.
 
 A plain two-hidden-layer MLP maps a flattened, workspace-normalized state to
 a unit embedding. Training pulls together states from the same episode and
@@ -14,8 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .explore import Dataset
 from .simulator import EnvState
 
 PARAMS_MAGIC = b"SLNC"
+AE_MAGIC = b"SLAE"
 PARAMS_VERSION = 1
 HIDDEN = 256
 ZERO_NORM = 1e-12
@@ -46,13 +49,16 @@ class ParamsFormatError(ValueError):
 
 @dataclass
 class MlpParams:
-    """Layer sizes, weights (fan_in x fan_out), biases, and the workspace
-    extents used to normalize input coordinates."""
+    """Layer sizes, weights (fan_in x fan_out), biases, the workspace
+    extents used to normalize input coordinates, and the number of layers up
+    to the latent code: the encoder's latent is its output, the
+    autoencoder's an inner layer. Only hidden layers are rectified."""
 
     sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     workspace: tuple[float, float]
+    latent_layer: int
 
     @property
     def input_dim(self) -> int:
@@ -60,15 +66,26 @@ class MlpParams:
 
     @property
     def embed_dim(self) -> int:
-        return self.sizes[-1]
+        return self.sizes[self.latent_layer]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            self.sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.workspace,
-        )
+
+def init_mlp(
+    sizes: tuple[int, ...],
+    latent_layer: int,
+    workspace: tuple[float, float],
+    seed: int,
+    salt: int,
+) -> MlpParams:
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights drawn from (seed, salt),
+    zero biases."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, salt]))
+    weights = []
+    biases = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return MlpParams(sizes, weights, biases, workspace, latent_layer)
 
 
 def init_params(
@@ -78,16 +95,46 @@ def init_params(
     seed: int,
     hidden: int = HIDDEN,
 ) -> MlpParams:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) initialization, zero biases."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6E6574]))
-    sizes = (input_dim, hidden, hidden, embed_dim)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(sizes, weights, biases, workspace)
+    """The encoder before training."""
+    return init_mlp((input_dim, hidden, hidden, embed_dim), 3, workspace, seed,
+                    0x6E6574)
+
+
+def mlp_forward(
+    params: MlpParams,
+    x: np.ndarray,
+    layers: int | None = None,
+    acts: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The batch x through the first `layers` layers, all by default. Each
+    layer's output is appended to `acts` when it is given, for mlp_backward;
+    inference keeps none."""
+    h = x
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights[:layers], params.biases[:layers])):
+        h = h @ w + b
+        if i != params.latent_layer - 1 and i != last:
+            h = np.maximum(h, 0.0)
+        if acts is not None:
+            acts.append(h)
+    return h
+
+
+def mlp_backward(
+    params: MlpParams, acts: list[np.ndarray], delta: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weight and bias gradients, given d loss / d output `delta` and the
+    batch followed by the layer outputs that mlp_forward kept in `acts`."""
+    grad_w: list[np.ndarray] = [None] * len(params.weights)  # type: ignore
+    grad_b: list[np.ndarray] = [None] * len(params.biases)  # type: ignore
+    for layer in range(len(params.weights) - 1, -1, -1):
+        grad_w[layer] = acts[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ params.weights[layer].T
+            if layer != params.latent_layer:
+                delta = delta * (acts[layer] > 0.0)
+    return grad_w, grad_b
 
 
 def state_input(state: EnvState, workspace: tuple[float, float]) -> np.ndarray:
@@ -110,16 +157,11 @@ def states_matrix(
 
 
 def _forward(
-    params: MlpParams, x: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
-    """Batch forward pass; returns (unit embeddings, hidden activations,
-    raw outputs, raw norms)."""
-    h = x
-    acts = [x]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-        acts.append(h)
-    y = h @ params.weights[-1] + params.biases[-1]
+    params: MlpParams, x: np.ndarray, acts: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch forward pass; returns (unit embeddings, raw output norms).
+    Layer outputs go to `acts` as mlp_forward keeps them."""
+    y = mlp_forward(params, x, acts=acts)
     norms = np.linalg.norm(y, axis=1, keepdims=True)
     z = np.empty_like(y)
     small = norms[:, 0] < ZERO_NORM
@@ -130,7 +172,7 @@ def _forward(
         z[ok] = y[ok] / norms[ok]
     else:
         z = y / norms
-    return z, acts, y, norms
+    return z, norms
 
 
 def encode_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -139,19 +181,13 @@ def encode_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
             f"input shape {x.shape} does not match encoder input "
             f"{params.input_dim}"
         )
-    z, _, _, _ = _forward(params, x)
-    return z
+    return _forward(params, x)[0]
 
 
 def encode(params: MlpParams, state: EnvState) -> np.ndarray:
     """Unit embedding of one state."""
-    x = state_input(state, params.workspace)
-    if x.shape[0] != params.input_dim:
-        raise DimensionMismatchError(
-            f"state gives input dim {x.shape[0]}, encoder expects "
-            f"{params.input_dim}"
-        )
-    return encode_batch(params, x[None, :])[0]
+    x = states_matrix([state], params.workspace, params.input_dim)
+    return encode_batch(params, x)[0]
 
 
 def similarity(z1: np.ndarray, z2: np.ndarray) -> float:
@@ -202,7 +238,8 @@ def _grad_step(
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean InfoNCE loss over `groups` anchor groups laid out as
     [anchor, positive, neg_1..neg_N] blocks in x, with exact gradients."""
-    z, acts, y, norms = _forward(params, x)
+    acts = [x]
+    z, norms = _forward(params, x, acts)
     d = z.shape[1]
     zg = z.reshape(groups, 2 + negatives, d)
     za = zg[:, 0]
@@ -225,15 +262,7 @@ def _grad_step(
     small = norms[:, 0] < ZERO_NORM
     if small.any():
         dy[small] = 0.0
-
-    grad_w: list[np.ndarray] = [None] * len(params.weights)  # type: ignore
-    grad_b: list[np.ndarray] = [None] * len(params.biases)  # type: ignore
-    delta = dy
-    for layer in range(len(params.weights) - 1, -1, -1):
-        grad_w[layer] = acts[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ params.weights[layer].T) * (acts[layer] > 0.0)
+    grad_w, grad_b = mlp_backward(params, acts, dy)
     return loss, grad_w, grad_b
 
 
@@ -243,7 +272,7 @@ def _probe_loss(
     """Mean InfoNCE loss of the probe groups: every state is encoded once and
     the groups gather their rows from the embeddings, so the loss equals the
     one over the gathered inputs without repeating any state's pass."""
-    z, _, _, _ = _forward(params, x_all)
+    z = _forward(params, x_all)[0]
     return _info_nce(z[probe_rows])[0]
 
 
@@ -317,12 +346,14 @@ def train(
     dataset: Dataset,
     cfg: TrainConfig,
     hidden: int = HIDDEN,
+    progress: Callable[[int, int, float], None] | None = None,
 ) -> TrainReport:
     """Train the encoder on episode-based positive/negative pairs.
 
     Every dataset state anchors once per epoch (shuffled); its positive is a
     uniform other state of the same episode and its negatives are uniform
-    states of other episodes.
+    states of other episodes. `progress`, when given, is called after each
+    epoch with (epoch, epochs, probe loss).
     """
     if len(dataset.episodes) < 2:
         raise InsufficientDataError("need at least two episodes for negatives")
@@ -370,6 +401,8 @@ def train(
             optimizer.step(grad_w + grad_b)
         epoch_batch_means.append(float(np.mean(batch_losses)))
         epoch_losses.append(_probe_loss(params, x_all, probe_rows))
+        if progress is not None:
+            progress(len(epoch_losses), cfg.epochs, epoch_losses[-1])
     return TrainReport(params, epoch_losses, epoch_batch_means)
 
 
@@ -398,10 +431,11 @@ def numerical_gradient(
     return out
 
 
-# Persistence: binary weights plus a JSON sidecar with the train config.
-# The container is shared with the autoencoder: magic, u32 version, u32
-# layer count, u32 layer sizes, any extra u32 header fields, then float64
-# weights and biases per layer.
+# Persistence: binary weights plus a JSON sidecar with the workspace, the
+# train config and the per-epoch losses. One container serves both models:
+# magic, u32 version, u32 layer count, u32 layer sizes, the u32 latent layer
+# for an autoencoder (SLAE; an encoder, SLNC, has no such field), then
+# float64 weights and biases per layer.
 
 
 def container_bytes(
@@ -463,28 +497,14 @@ def read_container(
     return tuple(sizes), tuple(header), weights, biases
 
 
-def write_sidecar(path: str, workspace: tuple[float, float], **fields) -> None:
-    """`path`.json: the workspace extents plus the given JSON fields."""
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"workspace": list(workspace), **fields}, fh, indent=1)
-        fh.write("\n")
-
-
-def read_sidecar_workspace(path: str) -> tuple[float, float]:
-    """Workspace extents from `path`.json; ParamsFormatError naming the
-    sidecar if it is missing, not JSON, or has no two-number workspace."""
-    try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        w, h = (float(v) for v in sidecar["workspace"])
-    except (OSError, KeyError, TypeError, ValueError) as err:
-        raise ParamsFormatError(f"{path}.json: bad sidecar: {err!r}") from err
-    return (w, h)
-
-
 def params_bytes(params: MlpParams) -> bytes:
+    """The file container; where the latent sits decides its form."""
+    if params.latent_layer == len(params.weights):
+        magic, header = PARAMS_MAGIC, ()
+    else:
+        magic, header = AE_MAGIC, (params.latent_layer,)
     return container_bytes(
-        PARAMS_MAGIC, PARAMS_VERSION, params.sizes, (), params.weights,
+        magic, PARAMS_VERSION, params.sizes, header, params.weights,
         params.biases,
     )
 
@@ -500,17 +520,41 @@ def save_params(
     epoch_losses: list[float] | None = None,
 ) -> None:
     """Weights to `path`; the workspace, the train config and the per-epoch
-    probe losses, when known, to the sidecar."""
+    losses (the encoder's probe losses, the autoencoder's reconstruction
+    losses), when known, to the sidecar `path`.json."""
     with open(path, "wb") as fh:
         fh.write(params_bytes(params))
-    write_sidecar(
-        path,
-        params.workspace,
-        train=asdict(train_config) if train_config is not None else None,
-        epoch_losses=list(epoch_losses) if epoch_losses is not None else None,
+    sidecar = {
+        "workspace": list(params.workspace),
+        "train": asdict(train_config) if train_config is not None else None,
+        "epoch_losses": list(epoch_losses) if epoch_losses is not None else None,
+    }
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=1)
+        fh.write("\n")
+
+
+def load_params(path: str, autoencoder: bool = False) -> MlpParams:
+    """The encoder saved at `path`, or with `autoencoder` the autoencoder.
+    The error names the file if it is missing, holds the other model or is
+    malformed, and the sidecar if that has no two-number workspace."""
+    model = "autoencoder" if autoencoder else "encoder"
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{model} file not found: {path}")
+    magic = AE_MAGIC if autoencoder else PARAMS_MAGIC
+    sizes, header, weights, biases = read_container(
+        path, magic, PARAMS_VERSION, header_fields=int(autoencoder)
     )
-
-
-def load_params(path: str) -> MlpParams:
-    sizes, _, weights, biases = read_container(path, PARAMS_MAGIC, PARAMS_VERSION)
-    return MlpParams(sizes, weights, biases, read_sidecar_workspace(path))
+    latent_layer = len(sizes) - 1
+    if autoencoder:
+        (latent_layer,) = header
+        if not 0 < latent_layer < len(sizes) - 1:
+            raise ParamsFormatError(
+                f"{path}: latent layer {latent_layer} outside {len(sizes)} layers"
+            )
+    try:
+        with open(path + ".json", "r", encoding="utf-8") as fh:
+            w, h = (float(v) for v in json.load(fh)["workspace"])
+    except (OSError, KeyError, TypeError, ValueError) as err:
+        raise ParamsFormatError(f"{path}.json: bad sidecar: {err!r}") from err
+    return MlpParams(sizes, weights, biases, (w, h), latent_layer)

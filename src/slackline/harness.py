@@ -21,7 +21,6 @@ from .controller import LeaderFollower, OnlyLeader, RandomControl
 from .encoder import MlpParams, params_digest
 from .explore import Dataset
 from .planner import (
-    AeParams,
     AutoencoderPlanner,
     ContrastivePlanner,
     EmbeddingIndex,
@@ -66,7 +65,7 @@ class EvalArtifacts:
 
     dataset: Dataset
     encoder: MlpParams | None = None
-    autoencoder: AeParams | None = None
+    autoencoder: MlpParams | None = None
     index: EmbeddingIndex | None = None
     retrieval: dict[str, object] = field(default_factory=dict)
 
@@ -375,7 +374,7 @@ def write_run_manifest(
     cells: Iterable[tuple[str, str]] | None = None,
     train: TrainConfig | None = None,
     encoder: MlpParams | None = None,
-    autoencoder_digest: str | None = None,
+    autoencoder: MlpParams | None = None,
     dataset_path: str | None = None,
     extra: dict | None = None,
 ) -> None:
@@ -389,7 +388,9 @@ def write_run_manifest(
         "env_seeds": env_seeds,
         "cells": [list(c) for c in cells] if cells is not None else None,
         "encoder_digest": params_digest(encoder) if encoder is not None else None,
-        "autoencoder_digest": autoencoder_digest,
+        "autoencoder_digest": (
+            params_digest(autoencoder) if autoencoder is not None else None
+        ),
         "dataset_path": dataset_path,
     }
     if extra:

@@ -10,14 +10,23 @@ nearest neighbor, or nearest neighbor in an autoencoder latent space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .config import TrainConfig
-from .encoder import HIDDEN, Adam, MlpParams, encode, encode_batch, states_matrix
+from .encoder import (
+    HIDDEN,
+    Adam,
+    MlpParams,
+    encode,
+    encode_batch,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+    states_matrix,
+)
 from .explore import Dataset
 from .simulator import EnvState
 
@@ -171,61 +180,24 @@ class TemplatePlanner(_NearestL2):
 
 
 @dataclass
-class AeParams:
-    sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    latent_layer: int
-    workspace: tuple[float, float]
-
-    def encode_batch(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        for i in range(self.latent_layer):
-            h = h @ self.weights[i] + self.biases[i]
-            if i < self.latent_layer - 1:
-                h = np.maximum(h, 0.0)
-        return h
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        acts = [x]
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            # hidden layers are rectified; the latent and the output are linear
-            if i != self.latent_layer - 1 and i != last:
-                h = np.maximum(h, 0.0)
-            acts.append(h)
-        return h, acts
-
-
-@dataclass
 class AeReport:
-    params: AeParams
+    params: MlpParams
     epoch_losses: list[float]
 
 
-def init_autoencoder(
-    input_dim: int, embed_dim: int, workspace: tuple[float, float], seed: int,
-    hidden: int = HIDDEN,
-) -> AeParams:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6165]))
-    sizes = (input_dim, hidden, hidden, embed_dim, hidden, hidden, input_dim)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return AeParams(sizes, weights, biases, latent_layer=3, workspace=workspace)
-
-
-def train_autoencoder(dataset: Dataset, cfg: TrainConfig) -> AeReport:
-    """Minimize mean squared reconstruction error over all dataset states."""
+def train_autoencoder(
+    dataset: Dataset,
+    cfg: TrainConfig,
+    progress: Callable[[int, int, float], None] | None = None,
+) -> AeReport:
+    """Minimize mean squared reconstruction error over all dataset states.
+    `progress`, when given, is called after each epoch with (epoch, epochs,
+    mean batch loss)."""
     task = dataset.config
     workspace = (task.workspace_width, task.workspace_height)
     input_dim = (task.keypoint_count + task.obstacle_count) * 2
-    params = init_autoencoder(input_dim, cfg.embed_dim, workspace, cfg.seed)
+    sizes = (input_dim, HIDDEN, HIDDEN, cfg.embed_dim, HIDDEN, HIDDEN, input_dim)
+    params = init_mlp(sizes, 3, workspace, cfg.seed, 0x6165)
 
     x_all = states_matrix(dataset.state_table()[0], workspace, input_dim)
     n = x_all.shape[0]
@@ -233,29 +205,19 @@ def train_autoencoder(dataset: Dataset, cfg: TrainConfig) -> AeReport:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x616574]))
     optimizer = Adam(params.weights + params.biases, cfg.learning_rate)
     losses: list[float] = []
-    last = len(params.weights) - 1
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         batch_losses = []
         for lo in range(0, n, cfg.batch_anchors):
             x = x_all[order[lo : lo + cfg.batch_anchors]]
-            recon, acts = params.forward(x)
-            diff = recon - x
-            loss = float(np.mean(diff * diff))
-            batch_losses.append(loss)
-            delta = 2.0 * diff / diff.size
-            grad_w = [None] * len(params.weights)
-            grad_b = [None] * len(params.biases)
-            for layer in range(last, -1, -1):
-                a_in = acts[layer]
-                grad_w[layer] = a_in.T @ delta
-                grad_b[layer] = delta.sum(axis=0)
-                if layer > 0:
-                    delta = delta @ params.weights[layer].T
-                    if layer - 1 != params.latent_layer - 1:
-                        delta = delta * (acts[layer] > 0.0)
+            acts = [x]
+            diff = mlp_forward(params, x, acts=acts) - x
+            batch_losses.append(float(np.mean(diff * diff)))
+            grad_w, grad_b = mlp_backward(params, acts, 2.0 * diff / diff.size)
             optimizer.step(grad_w + grad_b)
         losses.append(float(np.mean(batch_losses)))
+        if progress is not None:
+            progress(len(losses), cfg.epochs, losses[-1])
     return AeReport(params, losses)
 
 
@@ -264,14 +226,13 @@ class AutoencoderPlanner(_NearestL2):
 
     name = "autoencoder"
 
-    def __init__(self, ae: AeParams, dataset: Dataset) -> None:
+    def __init__(self, ae: MlpParams, dataset: Dataset) -> None:
         self.ae = ae
         super().__init__(_index_states(dataset, self.latents))
 
     def latents(self, states: list[EnvState]) -> np.ndarray:
-        return self.ae.encode_batch(
-            states_matrix(states, self.ae.workspace, self.ae.sizes[0])
-        )
+        x = states_matrix(states, self.ae.workspace, self.ae.input_dim)
+        return mlp_forward(self.ae, x, self.ae.latent_layer)
 
     def plan(self, state: EnvState) -> tuple[EnvState, tuple[int, int] | None]:
         return self.nearest(self.latents([state])[0])

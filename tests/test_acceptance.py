@@ -59,7 +59,7 @@ from slackline.simulator import (
     execute_with_stats,
     generate_env,
 )
-from slackline.cli import _save_ae, load_ae
+from slackline.cli import load_ae
 
 EVAL_EPISODES = 300
 WORKERS = max(1, min(4, os.cpu_count() or 1))
@@ -124,7 +124,7 @@ def _build_pipeline(cache_dir: str | None) -> Pipeline:
         save_params(
             enc_report.params, os.path.join(cache_dir, "encoder.bin"), train_config
         )
-        _save_ae(
+        save_params(
             ae_report.params, os.path.join(cache_dir, "autoencoder.bin"),
             train_config,
         )

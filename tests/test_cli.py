@@ -258,6 +258,43 @@ class TestTaskFit:
                        "--seed", "1", "--out", str(tmp_path / "r.json"))
         assert code == 0
 
+    @pytest.mark.parametrize("fields, note", [
+        ({}, None),
+        ({"reach_max": 0.5, "obstacle_radius": 0.05},
+         "the task in force differs from the header: obstacle_radius = 0.04 "
+         "(header 0.05), reach_max = 0.45 (header 0.5)"),
+    ], ids=["equal", "differing"])
+    def test_task_fields_against_header(self, tmp_path, capsys, small_dataset,
+                                        dataset_path, fields, note):
+        """A header that differs from the task in force in fields the layout
+        does not fix is named in one stderr line; the exit code, stdout and
+        metrics.csv are those of the dataset under its own header, and the
+        manifest carries the header's config digest and the version."""
+        from slackline import __version__
+        from slackline.config import config_digest
+
+        def eval_with(path, out):
+            code = run_cli("eval", "--dataset", path, "--matrix",
+                           "fixed:leader-follower", "--episodes", "2",
+                           "--seed", "3", "--out", str(out))
+            return code, capsys.readouterr()
+
+        code, want = eval_with(dataset_path, tmp_path / "want")
+        assert code == 0
+        path = self.header_copy(tmp_path, small_dataset, **fields)
+        code, got = eval_with(path, tmp_path / "got")
+        assert code == 0
+        assert got.out == want.out
+        assert ((tmp_path / "got" / "metrics.csv").read_bytes()
+                == (tmp_path / "want" / "metrics.csv").read_bytes())
+        notes = [line for line in got.err.splitlines() if "note" in line]
+        assert notes == ([] if note is None else
+                         [f"slackline: note: {path}: {note}"])
+        manifest = json.loads((tmp_path / "got" / "manifest.json").read_text())
+        header = replace(small_dataset.config, **fields)
+        assert manifest["dataset_config_digest"] == config_digest(header)
+        assert manifest["version"] == __version__
+
     @pytest.mark.parametrize("flag", ["--encoder", "--autoencoder"])
     def test_model_input_size(self, tmp_path, capsys, small_dataset, flag,
                               encoder_path, autoencoder_path):
@@ -282,6 +319,35 @@ class TestTaskFit:
                        "--episodes", "1", "--out", str(tmp_path / "r"))
         assert code == 2
         assert f"{copy}.json: workspace [1.2, 0.6]" in capsys.readouterr().err
+
+
+class TestModelKinds:
+    """The encoder and the autoencoder share one container; each flag takes
+    only its own kind."""
+
+    @pytest.mark.parametrize("flag", ["--encoder", "--autoencoder"])
+    def test_other_kind_exits_2(self, tmp_path, capsys, dataset_path, flag,
+                                encoder_path, autoencoder_path):
+        model = autoencoder_path if flag == "--encoder" else encoder_path
+        code = run_cli("eval", "--dataset", dataset_path, flag, model,
+                       "--matrix", "fixed:leader-follower", "--episodes", "1",
+                       "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"{model}: bad magic" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("autoencoder", [False, True])
+    def test_save_load_keeps_digest(self, tmp_path, encoder_path,
+                                    autoencoder_path, autoencoder):
+        from slackline.encoder import load_params, params_digest, save_params
+
+        path = autoencoder_path if autoencoder else encoder_path
+        params = load_params(path, autoencoder)
+        with open(path, "rb") as fh:
+            assert params_digest(params) == hashlib.sha256(fh.read()).hexdigest()
+        copy = str(tmp_path / "copy.bin")
+        save_params(params, copy)
+        assert params_digest(load_params(copy, autoencoder)) == params_digest(params)
 
 
 class TestInputChecks:
@@ -410,6 +476,8 @@ class TestSweepCommand:
         assert code == 0
         assert (out / "sweep_reach_max.csv").exists()
         assert (out / "sweep_reach_max.svg").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dataset_config_digest"] and manifest["version"]
 
 
 class TestTrainCommands:
@@ -447,6 +515,40 @@ class TestTrainCommands:
         ae = load_ae(str(out))
         assert ae.sizes[0] == 40
         assert ae.sizes[3] == 8
+
+    @pytest.mark.parametrize("command", ["train", "train-ae"])
+    def test_train_reports_epochs_on_stderr(self, tmp_path, capsys,
+                                            dataset_path, command):
+        """One stderr line per epoch with its loss; stdout, the model bytes
+        and the sidecar are those of training without progress."""
+        from slackline.config import TrainConfig
+        from slackline.encoder import save_params, train
+        from slackline.explore import load_dataset
+        from slackline.planner import train_autoencoder
+
+        cfg = TrainConfig(epochs=2, batch_anchors=16, embed_dim=8, seed=4)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"train": {
+            "epochs": 2, "batch_anchors": 16, "embed_dim": 8}}))
+        out = tmp_path / "model.bin"
+        code = run_cli(command, "--dataset", dataset_path, "--out", str(out),
+                       "--seed", "4", "--config", str(cfg_path))
+        assert code == 0
+        captured = capsys.readouterr()
+        fit = train if command == "train" else train_autoencoder
+        report = fit(load_dataset(dataset_path), cfg)
+        assert captured.err.splitlines() == [
+            f"{command}: epoch {k}/2 loss {loss:.6f}"
+            for k, loss in enumerate(report.epoch_losses, 1)
+        ]
+        assert len(captured.out.splitlines()) == 1
+        assert captured.out.startswith(
+            "trained encoder" if command == "train" else "trained autoencoder")
+        plain = tmp_path / "plain.bin"
+        save_params(report.params, str(plain), cfg, report.epoch_losses)
+        assert out.read_bytes() == plain.read_bytes()
+        assert ((tmp_path / "model.bin.json").read_bytes()
+                == (tmp_path / "plain.bin.json").read_bytes())
 
     def test_collect_small(self, tmp_path):
         out = tmp_path / "mini.jsonl"

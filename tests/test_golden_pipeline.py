@@ -20,9 +20,8 @@ import json
 
 import pytest
 
-from slackline.cli import AE_MAGIC, AE_VERSION
 from slackline.config import TrainConfig
-from slackline.encoder import container_bytes, params_digest
+from slackline.encoder import AE_MAGIC, PARAMS_VERSION, container_bytes, params_digest
 from slackline.explore import save_dataset
 from slackline.harness import FULL_MATRIX, EvalArtifacts, evaluate, sweep
 from slackline.planner import train_autoencoder
@@ -73,10 +72,11 @@ class TestGoldenPipeline:
 
     def test_autoencoder_container(self, autoencoder):
         blob = container_bytes(
-            AE_MAGIC, AE_VERSION, autoencoder.sizes, (autoencoder.latent_layer,),
+            AE_MAGIC, PARAMS_VERSION, autoencoder.sizes, (autoencoder.latent_layer,),
             autoencoder.weights, autoencoder.biases,
         )
         assert sha256(blob) == self.AUTOENCODER
+        assert params_digest(autoencoder) == self.AUTOENCODER
 
     def test_evaluate(self, task_config, artifacts):
         table, per_cell = evaluate(list(FULL_MATRIX), 10, task_config, 5, artifacts)
