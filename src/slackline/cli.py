@@ -1,7 +1,11 @@
 """Command-line surface tying the pipeline together.
 
-Exit codes: 0 success, 1 usage error, 2 data or model error (the message
-names the offending file), 3 internal invariant violation.
+`run`, `eval` and `sweep` share one input loader, and `eval` and `sweep` one
+report writer; `run` is one cell and one episode of `harness.evaluate`.
+
+Exit codes, mapped in `main`: 0 success, 1 usage error, 2 data or model error
+(the message names the offending file), 3 internal invariant violation. A
+refused command creates no output.
 """
 
 from __future__ import annotations
@@ -18,29 +22,13 @@ from functools import partial
 
 from . import __version__
 from .config import TaskConfig, TrainConfig, config_digest, load_config_file
-from .encoder import (
-    MlpParams,
-    ParamsFormatError,
-    load_params,
-    params_digest,
-    save_params,
-    train,
-)
-from .explore import (
-    DatasetVersionError,
-    MalformedDatasetError,
-    build_goal_pool,
-    collect,
-    load_dataset,
-    save_dataset,
-)
+from .encoder import MlpParams, load_params, params_digest, save_params, train
+from .explore import MalformedDatasetError, collect, load_dataset, save_dataset
 from .harness import (
     FULL_MATRIX,
     EvalArtifacts,
-    MissingModelError,
     UnknownCellError,
     evaluate,
-    make_controller,
     make_planner,
     render_curve_svg,
     render_episode,
@@ -48,9 +36,8 @@ from .harness import (
     write_run_manifest,
 )
 from .planner import train_autoencoder
-from .policy import EpisodeResult, run_episode
-from .seeding import derive_seed
-from .simulator import GenerationError, InfeasibleActionError, generate_env
+from .policy import EpisodeResult
+from .simulator import GenerationError, InfeasibleActionError
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -121,6 +108,16 @@ def _file_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _make_parent(path: str) -> str:
+    """`path`, once the directory it names a file in exists."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
+def _json_line(result: EpisodeResult) -> str:
+    return json.dumps(result.to_obj(), separators=(",", ":")) + "\n"
+
+
 def _cmd_collect(args) -> int:
     task, _ = _load_configs(args.config)
     t0 = time.perf_counter()
@@ -133,7 +130,7 @@ def _cmd_collect(args) -> int:
         pool_size=args.pool_size,
         progress=_print_progress,
     )
-    save_dataset(dataset, args.out)
+    save_dataset(dataset, _make_parent(args.out))
     dt = time.perf_counter() - t0
     print(
         f"collected {len(dataset.episodes)} episodes from "
@@ -153,7 +150,8 @@ def _fit(args, fit):
         train_cfg = replace(train_cfg, seed=args.seed)
     t0 = time.perf_counter()
     report = fit(dataset, train_cfg, progress=partial(_print_epoch, args.command))
-    save_params(report.params, args.out, train_cfg, report.epoch_losses)
+    save_params(report.params, _make_parent(args.out), train_cfg,
+                report.epoch_losses)
     return report, time.perf_counter() - t0
 
 
@@ -218,31 +216,70 @@ def _build_artifacts(args, dataset, task: TaskConfig) -> EvalArtifacts:
               f"the header: {', '.join(differ)}", file=sys.stderr)
     encoder = None
     ae = None
-    if getattr(args, "encoder", None):
+    if args.encoder:
         encoder = load_params(args.encoder)
         _check_model(args.encoder, encoder, task)
-    if getattr(args, "autoencoder", None):
+    if args.autoencoder:
         ae = load_ae(args.autoencoder)
         _check_model(args.autoencoder, ae, task)
     return EvalArtifacts(dataset, encoder, ae)
 
 
-def _cmd_run(args) -> int:
-    task, _ = _load_configs(args.config)
+def _load_inputs(args) -> tuple[TaskConfig, TrainConfig, EvalArtifacts, str]:
+    """The inputs of run, eval and sweep, in this order: the configs, the
+    dataset (and its sha256), then the models checked against the task."""
+    task, train_cfg = _load_configs(args.config)
     dataset = _load_dataset_checked(args.dataset)
-    artifacts = _build_artifacts(args, dataset, task)
-    planner = make_planner(args.planner, artifacts, args.seed)
-    controller = make_controller(args.controller, task)
-    env = generate_env(task, derive_seed(args.seed, "env", 0))
-    result = run_episode(
-        env, planner, controller, task, derive_seed(args.seed, "episode", 0)
+    dataset_sha256 = _file_sha256(args.dataset)
+    return task, train_cfg, _build_artifacts(args, dataset, task), dataset_sha256
+
+
+def _write_report(args, inputs, env_seeds: list[int], files: dict[str, str],
+                  csv: str, seconds: float, cells=None, **own) -> None:
+    """Write the report of an eval or sweep to --out: `files` (name ->
+    text), then manifest.json, where the command's `own` fields follow
+    `version`; then print `csv` on stdout."""
+    task, train_cfg, artifacts, dataset_sha256 = inputs
+    # only now, so that a refused run leaves no output directory
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    write_run_manifest(
+        os.path.join(args.out, "manifest.json"),
+        task,
+        args.seed,
+        env_seeds,
+        cells=cells,
+        train=train_cfg,
+        encoder=artifacts.encoder,
+        autoencoder=artifacts.autoencoder,
+        dataset_path=args.dataset,
+        extra={"dataset_sha256": dataset_sha256,
+               "dataset_config_digest": config_digest(artifacts.dataset.config),
+               "version": __version__, **own, "episodes": args.episodes,
+               "workers": args.workers, "elapsed_seconds": round(seconds, 3)},
     )
-    payload = json.dumps(result.to_obj(), separators=(",", ":")) + "\n"
+    print(csv, end="")
+    print(f"{args.command} finished in {seconds:.1f}s -> {args.out}",
+          file=sys.stderr)
+
+
+def _cmd_run(args) -> int:
+    task, _, artifacts, _ = _load_inputs(args)
+    # evaluate builds controllers before planners; building the planner
+    # first refuses a missing model (exit 2) before an unknown controller
+    # (exit 1). Retrieval planners are cached in artifacts, so none is built
+    # twice.
+    make_planner(args.planner, artifacts, args.seed)
+    _, per_cell = evaluate([(args.planner, args.controller)], 1, task,
+                           args.seed, artifacts)
+    result = per_cell[0][0]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        with open(_make_parent(args.out), "w", encoding="utf-8") as fh:
+            fh.write(_json_line(result))
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(_json_line(result))
     if args.render:
         paths = render_episode(result, task, args.render)
         print(f"rendered {len(paths)} frames -> {args.render}", file=sys.stderr)
@@ -254,54 +291,25 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    task, train_cfg = _load_configs(args.config)
-    dataset = _load_dataset_checked(args.dataset)
-    dataset_sha256 = _file_sha256(args.dataset)
-    artifacts = _build_artifacts(args, dataset, task)
+    inputs = _load_inputs(args)
+    task, _, artifacts, _ = inputs
     cells = _parse_matrix(args.matrix)
     t0 = time.perf_counter()
     table, per_cell = evaluate(
         cells, args.episodes, task, args.seed, artifacts, args.workers
     )
     dt = time.perf_counter() - t0
-    # only now, so that a refused run leaves no output directory
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write(table.csv())
-    with open(
-        os.path.join(args.out, "metrics_full.csv"), "w", encoding="utf-8"
-    ) as fh:
-        fh.write(table.csv_full())
+    files = {"metrics.csv": table.csv(), "metrics_full.csv": table.csv_full()}
     for (p, c), results in zip(cells, per_cell):
-        path = os.path.join(args.out, f"results_{p}+{c}.jsonl")
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in results:
-                fh.write(json.dumps(r.to_obj(), separators=(",", ":")) + "\n")
-    write_run_manifest(
-        os.path.join(args.out, "manifest.json"),
-        task,
-        args.seed,
-        table.env_seeds,
-        cells=cells,
-        train=train_cfg,
-        encoder=artifacts.encoder,
-        autoencoder=artifacts.autoencoder,
-        dataset_path=args.dataset,
-        extra={"dataset_sha256": dataset_sha256,
-               "dataset_config_digest": config_digest(dataset.config),
-               "version": __version__, "episodes": args.episodes,
-               "workers": args.workers, "elapsed_seconds": round(dt, 3)},
-    )
-    print(table.csv(), end="")
-    print(f"eval finished in {dt:.1f}s -> {args.out}", file=sys.stderr)
+        files[f"results_{p}+{c}.jsonl"] = "".join(map(_json_line, results))
+    _write_report(args, inputs, table.env_seeds, files, table.csv(), dt,
+                  cells=cells)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    task, train_cfg = _load_configs(args.config)
-    dataset = _load_dataset_checked(args.dataset)
-    dataset_sha256 = _file_sha256(args.dataset)
-    artifacts = _build_artifacts(args, dataset, task)
+    inputs = _load_inputs(args)
+    task, _, artifacts, _ = inputs
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as err:
@@ -316,35 +324,10 @@ def _cmd_sweep(args) -> int:
         args.workers,
     )
     dt = time.perf_counter() - t0
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, f"sweep_{args.param}.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(result.csv())
-    svg_path = os.path.join(args.out, f"sweep_{args.param}.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(render_curve_svg(result))
-    write_run_manifest(
-        os.path.join(args.out, "manifest.json"),
-        task,
-        args.seed,
-        result.env_seeds,
-        train=train_cfg,
-        encoder=artifacts.encoder,
-        autoencoder=artifacts.autoencoder,
-        dataset_path=args.dataset,
-        extra={
-            "dataset_sha256": dataset_sha256,
-            "dataset_config_digest": config_digest(dataset.config),
-            "version": __version__,
-            "sweep_param": args.param,
-            "sweep_values": values,
-            "episodes": args.episodes,
-            "workers": args.workers,
-            "elapsed_seconds": round(dt, 3),
-        },
-    )
-    print(result.csv(), end="")
-    print(f"sweep finished in {dt:.1f}s -> {args.out}", file=sys.stderr)
+    name = f"sweep_{args.param}"
+    files = {f"{name}.csv": result.csv(), f"{name}.svg": render_curve_svg(result)}
+    _write_report(args, inputs, result.env_seeds, files, result.csv(), dt,
+                  sweep_param=args.param, sweep_values=values)
     return 0
 
 
@@ -366,8 +349,25 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="slackline", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("collect", help="collect a dataset of successful episodes")
-    p.add_argument("--config")
+    # the flags subcommands share, declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config")
+    fit = argparse.ArgumentParser(add_help=False, parents=[config])
+    fit.add_argument("--dataset", required=True)
+    fit.add_argument("--out", required=True)
+    fit.add_argument("--seed", type=int, default=None)
+    inputs = argparse.ArgumentParser(add_help=False, parents=[config])
+    inputs.add_argument("--dataset", required=True)
+    inputs.add_argument("--encoder")
+    inputs.add_argument("--autoencoder")
+    inputs.add_argument("--seed", type=int, default=0)
+    batch = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    batch.add_argument("--episodes", type=int, default=500)
+    batch.add_argument("--out", required=True)
+    batch.add_argument("--workers", type=int, default=1)
+
+    p = sub.add_parser("collect", parents=[config],
+                       help="collect a dataset of successful episodes")
     p.add_argument("--out", required=True)
     p.add_argument("--episodes", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -376,59 +376,31 @@ def build_parser() -> _Parser:
     p.add_argument("--trials-per-goal", type=int, default=3)
     p.set_defaults(func=_cmd_collect)
 
-    p = sub.add_parser("train", help="train the contrastive encoder")
-    p.add_argument("--config")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_train)
+    sub.add_parser("train", parents=[fit], help="train the contrastive encoder",
+                   ).set_defaults(func=_cmd_train)
+    sub.add_parser("train-ae", parents=[fit],
+                   help="train the autoencoder ablation model",
+                   ).set_defaults(func=_cmd_train_ae)
 
-    p = sub.add_parser("train-ae", help="train the autoencoder ablation model")
-    p.add_argument("--config")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_train_ae)
-
-    p = sub.add_parser("run", help="run one policy episode")
-    p.add_argument("--config")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--encoder")
-    p.add_argument("--autoencoder")
+    p = sub.add_parser("run", parents=[inputs], help="run one policy episode")
     p.add_argument("--planner", default="contrastive")
     p.add_argument("--controller", default="leader-follower")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--render")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("eval", help="evaluate a planner/controller matrix")
-    p.add_argument("--config")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--encoder")
-    p.add_argument("--autoencoder")
+    p = sub.add_parser("eval", parents=[batch],
+                       help="evaluate a planner/controller matrix")
     p.add_argument("--matrix", default="full")
-    p.add_argument("--episodes", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="sweep a task parameter")
-    p.add_argument("--config")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--encoder")
-    p.add_argument("--autoencoder")
+    p = sub.add_parser("sweep", parents=[batch], help="sweep a task parameter")
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True)
-    p.add_argument("--episodes", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("render", help="render an episode result to SVG frames")
-    p.add_argument("--config")
+    p = sub.add_parser("render", parents=[config],
+                       help="render an episode result to SVG frames")
     p.add_argument("--result", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_render)
@@ -437,31 +409,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, UnknownCellError) as err:
         print(f"slackline: error: {err}", file=sys.stderr)
         return USAGE_EXIT
-    except UnknownCellError as err:
-        print(f"slackline: error: {err}", file=sys.stderr)
-        return USAGE_EXIT
-    except (
-        FileNotFoundError,
-        MalformedDatasetError,
-        DatasetVersionError,
-        ParamsFormatError,
-        TaskMismatchError,
-        MissingModelError,
-        GenerationError,
-    ) as err:
-        print(f"slackline: data error: {err}", file=sys.stderr)
-        return DATA_EXIT
+    # before ValueError: InfeasibleActionError is one
     except (InfeasibleActionError, AssertionError) as err:
         print(f"slackline: internal invariant violation: {err}", file=sys.stderr)
         return INTERNAL_EXIT
-    except ValueError as err:
+    except (FileNotFoundError, GenerationError, ValueError) as err:
         print(f"slackline: data error: {err}", file=sys.stderr)
         return DATA_EXIT
 

@@ -13,7 +13,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .config import TaskConfig, TrainConfig, config_digest
@@ -205,20 +205,8 @@ def summarize(
 _CTX: dict = {}
 
 
-def _set_context(
-    config: TaskConfig,
-    cells: list[tuple[str, str]],
-    planners: list,
-    controllers: list,
-) -> None:
-    _CTX["config"] = config
-    _CTX["cells"] = cells
-    _CTX["planners"] = planners
-    _CTX["controllers"] = controllers
-
-
-def _episode_task(args: tuple[int, int, int]) -> list[EpisodeResult]:
-    idx, env_seed, episode_seed = args
+def _episode_task(seeds: tuple[int, int]) -> list[EpisodeResult]:
+    env_seed, episode_seed = seeds
     config = _CTX["config"]
     env = generate_env(config, env_seed)
     out = []
@@ -243,9 +231,9 @@ def evaluate(
     planners = [make_planner(p, artifacts, seed) for p, _ in cells]
     env_seeds = [derive_seed(seed, "env", i) for i in range(n_episodes)]
     episode_seeds = [derive_seed(seed, "episode", i) for i in range(n_episodes)]
-    tasks = list(zip(range(n_episodes), env_seeds, episode_seeds))
+    tasks = list(zip(env_seeds, episode_seeds))
 
-    _set_context(config, cells, planners, controllers)
+    _CTX.update(config=config, planners=planners, controllers=controllers)
     if workers <= 1:
         rows = [_episode_task(t) for t in tasks]
     else:
@@ -378,8 +366,6 @@ def write_run_manifest(
     dataset_path: str | None = None,
     extra: dict | None = None,
 ) -> None:
-    from dataclasses import asdict
-
     manifest = {
         "config_digest": config_digest(config, train),
         "task": asdict(config),

@@ -628,3 +628,172 @@ def test_readme_config_example_uses_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(example)
     assert load_config_file(str(path)) == (TaskConfig(), TrainConfig())
+
+
+class TestRefusals:
+    """Each refusal's exit code and last stderr line, and no --out left
+    behind. Inputs load before --values is parsed, so a missing dataset is
+    named even when --values is bad too."""
+
+    @pytest.mark.parametrize("argv, code, last", [
+        (["eval", "--dataset", "{ds}", "--matrix", "contrastive"], 1,
+         "slackline: error: bad cell 'contrastive'; expected planner:controller"),
+        (["sweep", "--dataset", "{ds}", "--param", "reach_max",
+          "--values", "0.4,abc"], 1,
+         "slackline: error: bad --values: could not convert string to float: "
+         "'abc'"),
+        (["sweep", "--dataset", "{ds}", "--param", "reach_max",
+          "--values", ","], 1, "slackline: error: empty --values"),
+        (["sweep", "--dataset", "missing.jsonl", "--param", "reach_max",
+          "--values", "0.4,nan"], 2,
+         "slackline: data error: dataset file not found: missing.jsonl"),
+        (["eval", "--dataset", "{ds}", "--config", "nocfg.json"], 2,
+         "slackline: data error: config file not found: nocfg.json"),
+        (["eval", "--dataset", "{ds}", "--config", "root.json"], 2,
+         "slackline: data error: root.json: config root must be a JSON object"),
+        (["eval", "--dataset", "{ds}", "--config", "extra.json"], 2,
+         "slackline: data error: extra.json: unknown top-level key(s) "
+         "['extra']"),
+        (["eval", "--dataset", "{ds}", "--config", "bogus.json"], 2,
+         "slackline: data error: bogus.json: task: unknown field(s) ['bogus']"),
+        (["render", "--result", "result.json"], 2,
+         "slackline: data error: result.json: Expecting value: line 1 "
+         "column 1 (char 0)"),
+        (["run", "--dataset", "{ds}", "--planner", "bogus",
+          "--controller", "bogus"], 1,
+         "slackline: error: unknown planner 'bogus'; valid: contrastive, "
+         "fixed, random, template, autoencoder"),
+        (["run", "--dataset", "{ds}", "--controller", "bogus"], 2,
+         "slackline: data error: cell needs a trained encoder "
+         "(run `slackline train`)"),
+    ])
+    def test_exit_code_and_message(self, tmp_path, monkeypatch, capsys,
+                                   dataset_path, argv, code, last):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "root.json").write_text("[1]")
+        (tmp_path / "extra.json").write_text('{"extra": 1}')
+        (tmp_path / "bogus.json").write_text('{"task": {"bogus": 1}}')
+        (tmp_path / "result.json").write_text("not json")
+        argv = [a.format(ds=dataset_path) for a in argv]
+        assert run_cli(*argv, "--out", "out") == code
+        assert capsys.readouterr().err.splitlines()[-1] == last
+        assert not (tmp_path / "out").exists()
+
+
+# Every option of every subcommand: (default, type, required).
+CLI_SURFACE = {
+    "collect": {
+        ("--config",): (None, None, False),
+        ("--episodes",): (1000, int, False),
+        ("--goals-per-env",): (3, int, False),
+        ("--out",): (None, None, True),
+        ("--pool-size",): (200, int, False),
+        ("--seed",): (0, int, False),
+        ("--trials-per-goal",): (3, int, False),
+    },
+    "train": {
+        ("--config",): (None, None, False),
+        ("--dataset",): (None, None, True),
+        ("--out",): (None, None, True),
+        ("--seed",): (None, int, False),
+    },
+    "train-ae": {
+        ("--config",): (None, None, False),
+        ("--dataset",): (None, None, True),
+        ("--out",): (None, None, True),
+        ("--seed",): (None, int, False),
+    },
+    "run": {
+        ("--autoencoder",): (None, None, False),
+        ("--config",): (None, None, False),
+        ("--controller",): ("leader-follower", None, False),
+        ("--dataset",): (None, None, True),
+        ("--encoder",): (None, None, False),
+        ("--out",): (None, None, False),
+        ("--planner",): ("contrastive", None, False),
+        ("--render",): (None, None, False),
+        ("--seed",): (0, int, False),
+    },
+    "eval": {
+        ("--autoencoder",): (None, None, False),
+        ("--config",): (None, None, False),
+        ("--dataset",): (None, None, True),
+        ("--encoder",): (None, None, False),
+        ("--episodes",): (500, int, False),
+        ("--matrix",): ("full", None, False),
+        ("--out",): (None, None, True),
+        ("--seed",): (0, int, False),
+        ("--workers",): (1, int, False),
+    },
+    "sweep": {
+        ("--autoencoder",): (None, None, False),
+        ("--config",): (None, None, False),
+        ("--dataset",): (None, None, True),
+        ("--encoder",): (None, None, False),
+        ("--episodes",): (500, int, False),
+        ("--out",): (None, None, True),
+        ("--param",): (None, None, True),
+        ("--seed",): (0, int, False),
+        ("--values",): (None, None, True),
+        ("--workers",): (1, int, False),
+    },
+    "render": {
+        ("--config",): (None, None, False),
+        ("--out",): (None, None, True),
+        ("--result",): (None, None, True),
+    },
+}
+
+
+def test_cli_surface():
+    """Every subcommand keeps each option's strings, default, type and
+    required flag; help order is free."""
+    import argparse
+
+    from slackline.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {tuple(a.option_strings): (a.default, a.type, a.required)
+               for a in parser._actions
+               if not isinstance(a, argparse._HelpAction)}
+        for name, parser in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize("cell", ["contrastive:leader-follower",
+                                  "fixed:only-leader"])
+def test_run_is_episode_0_of_eval(tmp_path, dataset_path, encoder_path, cell):
+    """`run --seed s` writes the first line of the cell's results file from
+    `eval --seed s`."""
+    planner, controller = cell.split(":")
+    common = ["--dataset", dataset_path, "--encoder", encoder_path,
+              "--seed", "7"]
+    assert run_cli("run", *common, "--planner", planner,
+                   "--controller", controller,
+                   "--out", str(tmp_path / "run.json")) == 0
+    assert run_cli("eval", *common, "--matrix", cell, "--episodes", "2",
+                   "--out", str(tmp_path / "eval")) == 0
+    results = tmp_path / "eval" / f"results_{planner}+{controller}.jsonl"
+    first = results.read_bytes().splitlines(keepends=True)[0]
+    assert (tmp_path / "run.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["collect", "--episodes", "1", "--seed", "6", "--pool-size", "3"],
+    ["train", "--dataset", "{ds}", "--config", "{cfg}"],
+    ["train-ae", "--dataset", "{ds}", "--config", "{cfg}"],
+    ["run", "--dataset", "{ds}", "--planner", "template"],
+], ids=lambda argv: argv[0])
+def test_out_parent_is_created(tmp_path, dataset_path, argv):
+    """A file --out in a directory that does not exist yet is written, not
+    refused after the work is done."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"epochs": 1, "batch_anchors": 16,
+                                         "embed_dim": 8}}))
+    argv = [a.format(ds=dataset_path, cfg=cfg) for a in argv]
+    out = tmp_path / "new" / "dir" / "out"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert out.stat().st_size > 0
