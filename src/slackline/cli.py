@@ -20,9 +20,16 @@ import time
 from dataclasses import fields, replace
 from functools import partial
 
-from . import __version__
+from . import __version__, explore
 from .config import TaskConfig, TrainConfig, config_digest, load_config_file
-from .encoder import MlpParams, load_params, params_digest, save_params, train
+from .encoder import (
+    MlpParams,
+    load_params,
+    model_layout,
+    params_digest,
+    save_params,
+    train,
+)
 from .explore import MalformedDatasetError, collect, load_dataset, save_dataset
 from .harness import (
     FULL_MATRIX,
@@ -124,8 +131,6 @@ def _cmd_collect(args) -> int:
     dataset, report = collect(
         task,
         episodes=args.episodes,
-        goals_per_env=args.goals_per_env,
-        trials_per_goal=args.trials_per_goal,
         seed=args.seed,
         pool_size=args.pool_size,
         progress=_print_progress,
@@ -182,16 +187,16 @@ LAYOUT_FIELDS = ("keypoint_count", "obstacle_count", "workspace_width",
 
 
 def _check_model(path: str, model: MlpParams, task: TaskConfig):
-    input_dim = (task.keypoint_count + task.obstacle_count) * 2
+    workspace, input_dim = model_layout(task)
     if model.sizes[0] != input_dim:
         raise TaskMismatchError(
             f"{path}: input size sizes[0] = {model.sizes[0]}, the task in "
             f"force gives {input_dim}"
         )
-    if tuple(model.workspace) != (task.workspace_width, task.workspace_height):
+    if tuple(model.workspace) != workspace:
         raise TaskMismatchError(
             f"{path}.json: workspace {list(model.workspace)}, the task in force "
-            f"has {[task.workspace_width, task.workspace_height]}"
+            f"has {list(workspace)}"
         )
 
 
@@ -228,6 +233,8 @@ def _build_artifacts(args, dataset, task: TaskConfig) -> EvalArtifacts:
 def _load_inputs(args) -> tuple[TaskConfig, TrainConfig, EvalArtifacts, str]:
     """The inputs of run, eval and sweep, in this order: the configs, the
     dataset (and its sha256), then the models checked against the task."""
+    if getattr(args, "workers", 1) < 1:  # eval and sweep
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     task, train_cfg = _load_configs(args.config)
     dataset = _load_dataset_checked(args.dataset)
     dataset_sha256 = _file_sha256(args.dataset)
@@ -318,6 +325,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"bad --values: {args.values!r} holds a non-finite number")
     if not values:
         raise UsageError("empty --values")
+    if values != sorted(values):
+        raise UsageError(f"bad --values: {args.values!r} is not in ascending order")
     t0 = time.perf_counter()
     result, _ = sweep(
         args.param, values, args.episodes, task, args.seed, artifacts,
@@ -369,11 +378,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("collect", parents=[config],
                        help="collect a dataset of successful episodes")
     p.add_argument("--out", required=True)
-    p.add_argument("--episodes", type=int, default=1000)
+    p.add_argument("--episodes", type=int, default=explore.DEFAULT_EPISODES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool-size", type=int, default=200)
-    p.add_argument("--goals-per-env", type=int, default=3)
-    p.add_argument("--trials-per-goal", type=int, default=3)
+    p.add_argument("--pool-size", type=int, default=explore.DEFAULT_GOAL_POOL)
     p.set_defaults(func=_cmd_collect)
 
     sub.add_parser("train", parents=[fit], help="train the contrastive encoder",

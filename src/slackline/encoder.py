@@ -1,4 +1,4 @@
-"""Contrastive state encoder, and the MLP it shares with the autoencoder.
+"""Contrastive encoder, and the MLP and training loop it shares with the autoencoder.
 
 A plain two-hidden-layer MLP maps a flattened, workspace-normalized state to
 a unit embedding. Training pulls together states from the same episode and
@@ -21,8 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TaskConfig, TrainConfig
 from .explore import Dataset
+from .seeding import make_rng
 from .simulator import EnvState
 
 PARAMS_MAGIC = b"SLNC"
@@ -78,7 +79,7 @@ def init_mlp(
 ) -> MlpParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights drawn from (seed, salt),
     zero biases."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, salt]))
+    rng = make_rng(seed, salt)
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -137,6 +138,12 @@ def mlp_backward(
     return grad_w, grad_b
 
 
+def model_layout(task: TaskConfig) -> tuple[tuple[float, float], int]:
+    """A task's (workspace extents, model input size), as state_input reads it."""
+    workspace = (task.workspace_width, task.workspace_height)
+    return workspace, (task.keypoint_count + task.obstacle_count) * 2
+
+
 def state_input(state: EnvState, workspace: tuple[float, float]) -> np.ndarray:
     """Flatten keypoints then obstacle centers, normalized to [0, 1] by the
     workspace extents."""
@@ -165,13 +172,10 @@ def _forward(
     norms = np.linalg.norm(y, axis=1, keepdims=True)
     z = np.empty_like(y)
     small = norms[:, 0] < ZERO_NORM
-    if small.any():
-        z[small] = 0.0
-        z[small, 0] = 1.0  # zero-protection: fixed first basis vector
-        ok = ~small
-        z[ok] = y[ok] / norms[ok]
-    else:
-        z = y / norms
+    z[small] = 0.0
+    z[small, 0] = 1.0  # zero-protection: fixed first basis vector
+    ok = ~small
+    z[ok] = y[ok] / norms[ok]
     return z, norms
 
 
@@ -223,13 +227,6 @@ def _info_nce(zg: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, exp / denom
 
 
-@dataclass
-class TrainReport:
-    params: MlpParams
-    epoch_losses: list[float]  # fixed-probe evaluation after each epoch
-    batch_losses: list[float]  # mean of minibatch losses within each epoch
-
-
 def _grad_step(
     params: MlpParams,
     x: np.ndarray,
@@ -259,9 +256,7 @@ def _grad_step(
 
     # through the normalization: z = y / |y|
     dy = (dz - (dz * z).sum(axis=1, keepdims=True) * z) / norms
-    small = norms[:, 0] < ZERO_NORM
-    if small.any():
-        dy[small] = 0.0
+    dy[norms[:, 0] < ZERO_NORM] = 0.0
     grad_w, grad_b = mlp_backward(params, acts, dy)
     return loss, grad_w, grad_b
 
@@ -298,6 +293,43 @@ class Adam:
                 self.learning_rate * (self.m[i] / bc1)
                 / (np.sqrt(self.v[i] / bc2) + ADAM_EPS)
             )
+
+
+@dataclass
+class TrainReport:
+    params: MlpParams
+    epoch_losses: list[float]
+
+
+def fit(
+    params: MlpParams,
+    n: int,
+    cfg: TrainConfig,
+    salt: int,
+    batch_step: Callable[[np.random.Generator, np.ndarray], tuple[float, list, list]],
+    probe: Callable[[], float] | None = None,
+    progress: Callable[[int, int, float], None] | None = None,
+) -> TrainReport:
+    """Train `params` in place with Adam: cfg.epochs passes over `n` rows,
+    shuffled in batches of cfg.batch_anchors by the generator of (cfg.seed,
+    salt). `batch_step(that generator, rows)` returns a batch's (loss, weight
+    gradients, bias gradients). An epoch's loss is `probe()`, or without a
+    probe its mean batch loss; `progress`, when given, is called after each
+    epoch with (epoch, epochs, loss)."""
+    rng = make_rng(cfg.seed, salt)
+    optimizer = Adam(params.weights + params.biases, cfg.learning_rate)
+    epoch_losses: list[float] = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        batch_losses = []
+        for lo in range(0, n, cfg.batch_anchors):
+            loss, grad_w, grad_b = batch_step(rng, order[lo : lo + cfg.batch_anchors])
+            batch_losses.append(loss)
+            optimizer.step(grad_w + grad_b)
+        epoch_losses.append(float(np.mean(batch_losses)) if probe is None else probe())
+        if progress is not None:
+            progress(epoch, cfg.epochs, epoch_losses[-1])
+    return TrainReport(params, epoch_losses)
 
 
 def _draw_negatives(
@@ -361,9 +393,7 @@ def train(
         if len(ep.states) < 2:
             raise InsufficientDataError(f"episode {j} has fewer than 2 states")
 
-    task = dataset.config
-    workspace = (task.workspace_width, task.workspace_height)
-    input_dim = (task.keypoint_count + task.obstacle_count) * 2
+    workspace, input_dim = model_layout(dataset.config)
     params = init_params(input_dim, cfg.embed_dim, workspace, cfg.seed, hidden)
 
     states, ep_ids, steps = dataset.state_table()
@@ -374,36 +404,20 @@ def train(
     starts = np.flatnonzero(steps == 0).tolist()
     ep_ranges = list(zip(starts, starts[1:] + [n]))
 
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x747261]))
-
     # fixed probe pairs: per-epoch loss is evaluated on these, so the curve
     # reflects the parameters rather than the minibatch sampling path
-    probe_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7072]))
+    probe_rng = make_rng(cfg.seed, 0x7072)
     probe_anchors = probe_rng.choice(n, size=min(n, 2048), replace=False)
     probe_rows = _group_rows(
         probe_rng, probe_anchors, ep_ids, ep_ranges, cfg.negatives
     )
 
-    optimizer = Adam(params.weights + params.biases, cfg.learning_rate)
-    epoch_losses: list[float] = []
-    epoch_batch_means: list[float] = []
+    def batch_step(rng, anchors):
+        rows = _group_rows(rng, anchors, ep_ids, ep_ranges, cfg.negatives)
+        return _grad_step(params, x_all[rows.ravel()], len(anchors), cfg.negatives)
 
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        batch_losses: list[float] = []
-        for lo in range(0, n, cfg.batch_anchors):
-            anchors = order[lo : lo + cfg.batch_anchors]
-            rows = _group_rows(rng, anchors, ep_ids, ep_ranges, cfg.negatives)
-            loss, grad_w, grad_b = _grad_step(
-                params, x_all[rows.ravel()], len(anchors), cfg.negatives
-            )
-            batch_losses.append(loss)
-            optimizer.step(grad_w + grad_b)
-        epoch_batch_means.append(float(np.mean(batch_losses)))
-        epoch_losses.append(_probe_loss(params, x_all, probe_rows))
-        if progress is not None:
-            progress(len(epoch_losses), cfg.epochs, epoch_losses[-1])
-    return TrainReport(params, epoch_losses, epoch_batch_means)
+    return fit(params, n, cfg, 0x747261, batch_step,
+               lambda: _probe_loss(params, x_all, probe_rows), progress)
 
 
 def numerical_gradient(

@@ -39,8 +39,8 @@ DATASET_SCHEMA = "slackline-ds/1"
 
 DEFAULT_GOAL_POOL = 200
 DEFAULT_EPISODES = 1000
-DEFAULT_GOALS_PER_ENV = 3
-DEFAULT_TRIALS_PER_GOAL = 3
+GOALS_PER_ENV = 3
+TRIALS_PER_GOAL = 3
 
 # random wandering may take this many actions before reaching the goal space
 GOAL_ROLLOUT_FACTOR = 50
@@ -219,8 +219,6 @@ def _guided_rollout(
 def collect(
     config: TaskConfig,
     episodes: int = DEFAULT_EPISODES,
-    goals_per_env: int = DEFAULT_GOALS_PER_ENV,
-    trials_per_goal: int = DEFAULT_TRIALS_PER_GOAL,
     seed: int = 0,
     goal_pool: list[EnvState] | None = None,
     pool_size: int = DEFAULT_GOAL_POOL,
@@ -228,14 +226,12 @@ def collect(
 ) -> tuple[Dataset, CollectReport]:
     """Collect `episodes` successful min-horizon episodes.
 
-    Per fresh environment: draw `goals_per_env` pool goals, run
-    `trials_per_goal` random rollouts toward each, keep the shortest success,
+    Per fresh environment: draw GOALS_PER_ENV pool goals, run
+    TRIALS_PER_GOAL random rollouts toward each, keep the shortest success,
     discard the environment when every rollout fails.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    if goals_per_env < 1 or trials_per_goal < 1:
-        raise ValueError("goals_per_env and trials_per_goal must be >= 1")
     if goal_pool is None:
         goal_pool = build_goal_pool(config, pool_size, derive_seed(seed, "pool"))
     report = CollectReport()
@@ -245,12 +241,12 @@ def collect(
         env_seed = derive_seed(seed, "env", env_counter)
         env = generate_env(config, env_seed).quantized()
         pick_rng = make_rng(seed, "goal-choice", env_counter)
-        replace = goals_per_env > len(goal_pool)
-        goal_ids = pick_rng.choice(len(goal_pool), size=goals_per_env,
+        replace = GOALS_PER_ENV > len(goal_pool)
+        goal_ids = pick_rng.choice(len(goal_pool), size=GOALS_PER_ENV,
                                    replace=replace)
         best: tuple[list[EnvState], list[ActionPair]] | None = None
         for p, gid in enumerate(map(int, goal_ids)):
-            for c in range(trials_per_goal):
+            for c in range(TRIALS_PER_GOAL):
                 rng = make_rng(seed, "rollout", env_counter, p, c)
                 states, actions, ok = _guided_rollout(
                     env, goal_pool[gid], config, rng

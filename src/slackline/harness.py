@@ -502,9 +502,7 @@ def render_episode(result: EpisodeResult, config: TaskConfig, out_dir: str) -> l
     return paths
 
 
-def render_curve_svg(
-    result: SweepResult, title: str = ""
-) -> str:
+def render_curve_svg(result: SweepResult) -> str:
     """Line chart of success rate against the swept parameter."""
     width, height = 640.0, 420.0
     ml, mr, mt, mb = 70.0, 20.0, 40.0, 60.0
@@ -524,7 +522,7 @@ def render_curve_svg(
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{ml:.0f}" y="24" font-size="16" fill="#222">'
-        f"{title or ('success rate vs ' + result.param)}</text>",
+        f"success rate vs {result.param}</text>",
     ]
     for tick in range(0, 101, 20):
         y = py(tick)

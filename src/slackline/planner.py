@@ -18,16 +18,19 @@ import numpy as np
 from .config import TrainConfig
 from .encoder import (
     HIDDEN,
-    Adam,
     MlpParams,
+    TrainReport,
     encode,
     encode_batch,
+    fit,
     init_mlp,
     mlp_backward,
     mlp_forward,
+    model_layout,
     states_matrix,
 )
 from .explore import Dataset
+from .seeding import make_rng
 from .simulator import EnvState
 
 
@@ -124,7 +127,7 @@ class FixedPlanner:
     def __init__(self, goals: tuple[EnvState, ...], seed: int) -> None:
         if not goals:
             raise EmptyIndexError("no achieved goals to draw from")
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x666978]))
+        rng = make_rng(seed, 0x666978)
         self.choice = int(rng.integers(len(goals)))
         self.goals = goals
 
@@ -148,9 +151,7 @@ class RandomPlanner:
         self.choice = 0
 
     def reset(self, episode_seed: int) -> None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, 0x726E64, episode_seed % (2**63)])
-        )
+        rng = make_rng(self.seed, 0x726E64, episode_seed)
         self.choice = int(rng.integers(len(self.goals)))
 
     def plan(self, state: EnvState) -> tuple[EnvState, tuple[int, int] | None]:
@@ -179,46 +180,28 @@ class TemplatePlanner(_NearestL2):
 # mean squared self-reconstruction loss on the normalized inputs.
 
 
-@dataclass
-class AeReport:
-    params: MlpParams
-    epoch_losses: list[float]
-
-
 def train_autoencoder(
     dataset: Dataset,
     cfg: TrainConfig,
     progress: Callable[[int, int, float], None] | None = None,
-) -> AeReport:
+) -> TrainReport:
     """Minimize mean squared reconstruction error over all dataset states.
-    `progress`, when given, is called after each epoch with (epoch, epochs,
-    mean batch loss)."""
-    task = dataset.config
-    workspace = (task.workspace_width, task.workspace_height)
-    input_dim = (task.keypoint_count + task.obstacle_count) * 2
+    Each epoch's loss is its mean batch loss; `progress` is as in `fit`."""
+    workspace, input_dim = model_layout(dataset.config)
     sizes = (input_dim, HIDDEN, HIDDEN, cfg.embed_dim, HIDDEN, HIDDEN, input_dim)
     params = init_mlp(sizes, 3, workspace, cfg.seed, 0x6165)
 
     x_all = states_matrix(dataset.state_table()[0], workspace, input_dim)
-    n = x_all.shape[0]
 
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x616574]))
-    optimizer = Adam(params.weights + params.biases, cfg.learning_rate)
-    losses: list[float] = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        batch_losses = []
-        for lo in range(0, n, cfg.batch_anchors):
-            x = x_all[order[lo : lo + cfg.batch_anchors]]
-            acts = [x]
-            diff = mlp_forward(params, x, acts=acts) - x
-            batch_losses.append(float(np.mean(diff * diff)))
-            grad_w, grad_b = mlp_backward(params, acts, 2.0 * diff / diff.size)
-            optimizer.step(grad_w + grad_b)
-        losses.append(float(np.mean(batch_losses)))
-        if progress is not None:
-            progress(len(losses), cfg.epochs, losses[-1])
-    return AeReport(params, losses)
+    def batch_step(rng, rows):
+        x = x_all[rows]
+        acts = [x]
+        diff = mlp_forward(params, x, acts=acts) - x
+        grad_w, grad_b = mlp_backward(params, acts, 2.0 * diff / diff.size)
+        return float(np.mean(diff * diff)), grad_w, grad_b
+
+    return fit(params, x_all.shape[0], cfg, 0x616574, batch_step,
+               progress=progress)
 
 
 class AutoencoderPlanner(_NearestL2):

@@ -40,6 +40,7 @@ import numpy as np
 
 from .config import TaskConfig
 from .geometry import Obstacle, Point, Segment, sequence_feasible_xy
+from .seeding import make_rng
 
 SUBSTEPS = 64
 PROJECTION_ITERS = 10
@@ -958,7 +959,7 @@ def _exact_rebuild(xs: list[float], ys: list[float], pin: int, link_len: float) 
 def generate_env(config: TaskConfig, seed: int) -> EnvState:
     """Sample obstacles and a valid chain, rejecting goal-space initial
     states so the task is never already solved; deterministic in seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = make_rng(seed)
     rejections = 0
     mu = config.obstacle_radius
     width = config.workspace_width

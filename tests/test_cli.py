@@ -550,6 +550,23 @@ class TestTrainCommands:
         assert ((tmp_path / "model.bin.json").read_bytes()
                 == (tmp_path / "plain.bin.json").read_bytes())
 
+    @pytest.mark.parametrize("command", ["train", "train-ae"])
+    def test_seed_is_taken_mod_2_63(self, tmp_path, dataset_path, command):
+        """A training seed is reduced mod 2**63, as every other command's
+        is: -1 trains the model of 2**63 - 1, and 2**63 the model of 0."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"epochs": 1, "embed_dim": 8}}))
+
+        def model(seed: int) -> bytes:
+            out = tmp_path / f"{seed}.bin"
+            assert run_cli(command, "--dataset", dataset_path, "--out", str(out),
+                           "--seed", str(seed), "--config", str(cfg)) == 0
+            return out.read_bytes()
+
+        assert model(-1) == model(2**63 - 1)
+        assert model(2**63) == model(0)
+        assert model(-1) != model(0)
+
     def test_collect_small(self, tmp_path):
         out = tmp_path / "mini.jsonl"
         code = run_cli(
@@ -666,6 +683,15 @@ class TestRefusals:
         (["run", "--dataset", "{ds}", "--controller", "bogus"], 2,
          "slackline: data error: cell needs a trained encoder "
          "(run `slackline train`)"),
+        (["sweep", "--dataset", "{ds}", "--param", "reach_max",
+          "--values", "0.5,0.4"], 1,
+         "slackline: error: bad --values: '0.5,0.4' is not in ascending order"),
+        (["eval", "--dataset", "{ds}", "--matrix", "fixed:only-leader",
+          "--episodes", "1", "--workers", "-3"], 1,
+         "slackline: error: --workers must be >= 1, got -3"),
+        (["sweep", "--dataset", "{ds}", "--param", "reach_max",
+          "--values", "0.4", "--workers", "0"], 1,
+         "slackline: error: --workers must be >= 1, got 0"),
     ])
     def test_exit_code_and_message(self, tmp_path, monkeypatch, capsys,
                                    dataset_path, argv, code, last):
@@ -685,11 +711,9 @@ CLI_SURFACE = {
     "collect": {
         ("--config",): (None, None, False),
         ("--episodes",): (1000, int, False),
-        ("--goals-per-env",): (3, int, False),
         ("--out",): (None, None, True),
         ("--pool-size",): (200, int, False),
         ("--seed",): (0, int, False),
-        ("--trials-per-goal",): (3, int, False),
     },
     "train": {
         ("--config",): (None, None, False),
