@@ -70,15 +70,7 @@ class TaskMismatchError(ValueError):
 def _load_configs(path: str | None) -> tuple[TaskConfig, TrainConfig]:
     if path is None:
         return TaskConfig(), TrainConfig()
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
     return load_config_file(path)
-
-
-def _load_dataset_checked(path: str):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    return load_dataset(path)
 
 
 def load_ae(path: str) -> MlpParams:
@@ -121,6 +113,26 @@ def _make_parent(path: str) -> str:
     return path
 
 
+def _check_out(args) -> None:
+    """Refuse, before any work, an --out the command could not write: one
+    that exists as the other kind (a directory where the command writes a
+    file, or a file where it writes a directory: eval, sweep and render), or
+    one below an existing file."""
+    if args.out is None:
+        return
+    writes_dir = args.command in ("eval", "sweep", "render")
+    if os.path.exists(args.out) and os.path.isdir(args.out) != writes_dir:
+        found, wanted = ("a file", "a directory") if writes_dir else (
+            "a directory", "a file")
+        raise UsageError(f"--out {args.out} is {found}; {args.command} writes "
+                         f"{wanted} there")
+    parent = os.path.dirname(args.out)
+    while parent and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if parent and not os.path.isdir(parent):
+        raise UsageError(f"--out {args.out} lies below the file {parent}")
+
+
 def _json_line(result: EpisodeResult) -> str:
     return json.dumps(result.to_obj(), separators=(",", ":")) + "\n"
 
@@ -149,7 +161,7 @@ def _cmd_collect(args) -> int:
 def _fit(args, fit):
     """Train a model with `fit`, one stderr line per epoch, and save it to
     --out; returns (report, seconds)."""
-    dataset = _load_dataset_checked(args.dataset)
+    dataset = load_dataset(args.dataset)
     _, train_cfg = _load_configs(args.config)
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
@@ -236,7 +248,7 @@ def _load_inputs(args) -> tuple[TaskConfig, TrainConfig, EvalArtifacts, str]:
     if getattr(args, "workers", 1) < 1:  # eval and sweep
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     task, train_cfg = _load_configs(args.config)
-    dataset = _load_dataset_checked(args.dataset)
+    dataset = load_dataset(args.dataset)
     dataset_sha256 = _file_sha256(args.dataset)
     return task, train_cfg, _build_artifacts(args, dataset, task), dataset_sha256
 
@@ -287,9 +299,6 @@ def _cmd_run(args) -> int:
             fh.write(_json_line(result))
     else:
         sys.stdout.write(_json_line(result))
-    if args.render:
-        paths = render_episode(result, task, args.render)
-        print(f"rendered {len(paths)} frames -> {args.render}", file=sys.stderr)
     print(
         f"episode: success={result.success} steps={result.steps}",
         file=sys.stderr,
@@ -393,7 +402,6 @@ def build_parser() -> _Parser:
     p.add_argument("--planner", default="contrastive")
     p.add_argument("--controller", default="leader-follower")
     p.add_argument("--out")
-    p.add_argument("--render")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval", parents=[batch],
@@ -418,6 +426,7 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args)
         return args.func(args)
     except (UsageError, UnknownCellError) as err:
         print(f"slackline: error: {err}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
@@ -111,7 +112,8 @@ class TrainConfig:
 def _finite(value: Any) -> bool:
     if isinstance(value, (tuple, list)):
         return all(_finite(v) for v in value)
-    return math.isfinite(value)
+    # an int is finite, and may be too large to convert to a float
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _check_finite(cfg: Any) -> None:
@@ -165,6 +167,8 @@ def _apply_fields(cfg: Any, data: Any, source: str) -> Any:
 def load_config_file(path: str) -> tuple[TaskConfig, TrainConfig]:
     """Read a JSON config file with optional "task" and "train" blocks,
     overriding the defaults field by field."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

@@ -452,75 +452,19 @@ def numerical_gradient(
 # float64 weights and biases per layer.
 
 
-def container_bytes(
-    magic: bytes,
-    version: int,
-    sizes: tuple[int, ...],
-    header: tuple[int, ...],
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-) -> bytes:
-    out = bytearray()
-    out += magic
-    out += struct.pack("<I", version)
-    out += struct.pack("<I", len(sizes))
-    for s in sizes + header:
-        out += struct.pack("<I", s)
-    for w, b in zip(weights, biases):
+def params_bytes(params: MlpParams) -> bytes:
+    """The file container; where the latent sits decides its form."""
+    header = [PARAMS_VERSION, len(params.sizes), *params.sizes]
+    if params.latent_layer == len(params.weights):
+        magic = PARAMS_MAGIC
+    else:
+        magic = AE_MAGIC
+        header.append(params.latent_layer)
+    out = bytearray(magic + struct.pack(f"<{len(header)}I", *header))
+    for w, b in zip(params.weights, params.biases):
         out += np.ascontiguousarray(w, dtype="<f8").tobytes()
         out += np.ascontiguousarray(b, dtype="<f8").tobytes()
     return bytes(out)
-
-
-def read_container(
-    path: str, magic: bytes, version: int, header_fields: int = 0
-) -> tuple[tuple[int, ...], tuple[int, ...], list[np.ndarray], list[np.ndarray]]:
-    """(sizes, extra header fields, weights, biases) of a container file;
-    ParamsFormatError naming the file if it is not exactly one container."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != magic:
-        raise ParamsFormatError(f"{path}: bad magic {blob[:4]!r}")
-    weights = []
-    biases = []
-    try:
-        (found,) = struct.unpack_from("<I", blob, 4)
-        if found != version:
-            raise ParamsFormatError(
-                f"{path}: unsupported version {found} (expected {version})"
-            )
-        (count,) = struct.unpack_from("<I", blob, 8)
-        fields = struct.unpack_from(f"<{count + header_fields}I", blob, 12)
-        sizes, header = fields[:count], fields[count:]
-        offset = 12 + 4 * len(fields)
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = np.frombuffer(
-                blob, dtype="<f8", count=fan_in * fan_out, offset=offset
-            )
-            offset += 8 * fan_in * fan_out
-            b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
-            offset += 8 * fan_out
-            weights.append(w.reshape(fan_in, fan_out).copy())
-            biases.append(b.copy())
-    except ParamsFormatError:
-        raise
-    except (struct.error, ValueError) as err:
-        raise ParamsFormatError(f"{path}: truncated parameter file") from err
-    if offset != len(blob):
-        raise ParamsFormatError(f"{path}: trailing or missing bytes")
-    return tuple(sizes), tuple(header), weights, biases
-
-
-def params_bytes(params: MlpParams) -> bytes:
-    """The file container; where the latent sits decides its form."""
-    if params.latent_layer == len(params.weights):
-        magic, header = PARAMS_MAGIC, ()
-    else:
-        magic, header = AE_MAGIC, (params.latent_layer,)
-    return container_bytes(
-        magic, PARAMS_VERSION, params.sizes, header, params.weights,
-        params.biases,
-    )
 
 
 def params_digest(params: MlpParams) -> str:
@@ -555,16 +499,44 @@ def load_params(path: str, autoencoder: bool = False) -> MlpParams:
     model = "autoencoder" if autoencoder else "encoder"
     if not os.path.exists(path):
         raise FileNotFoundError(f"{model} file not found: {path}")
+    with open(path, "rb") as fh:
+        blob = fh.read()
     magic = AE_MAGIC if autoencoder else PARAMS_MAGIC
-    sizes, header, weights, biases = read_container(
-        path, magic, PARAMS_VERSION, header_fields=int(autoencoder)
-    )
-    latent_layer = len(sizes) - 1
-    if autoencoder:
-        (latent_layer,) = header
-        if not 0 < latent_layer < len(sizes) - 1:
+    if blob[:4] != magic:
+        raise ParamsFormatError(f"{path}: bad magic {blob[:4]!r}")
+    weights = []
+    biases = []
+    try:
+        (version,) = struct.unpack_from("<I", blob, 4)
+        if version != PARAMS_VERSION:
             raise ParamsFormatError(
-                f"{path}: latent layer {latent_layer} outside {len(sizes)} layers"
+                f"{path}: unsupported version {version} (expected {PARAMS_VERSION})"
+            )
+        (count,) = struct.unpack_from("<I", blob, 8)
+        fields = struct.unpack_from(f"<{count + int(autoencoder)}I", blob, 12)
+        sizes = fields[:count]
+        offset = 12 + 4 * len(fields)
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            w = np.frombuffer(
+                blob, dtype="<f8", count=fan_in * fan_out, offset=offset
+            )
+            offset += 8 * fan_in * fan_out
+            b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
+            offset += 8 * fan_out
+            weights.append(w.reshape(fan_in, fan_out).copy())
+            biases.append(b.copy())
+    except ParamsFormatError:
+        raise
+    except (struct.error, ValueError) as err:
+        raise ParamsFormatError(f"{path}: truncated parameter file") from err
+    if offset != len(blob):
+        raise ParamsFormatError(f"{path}: trailing or missing bytes")
+    latent_layer = count - 1
+    if autoencoder:
+        latent_layer = fields[-1]
+        if not 0 < latent_layer < count - 1:
+            raise ParamsFormatError(
+                f"{path}: latent layer {latent_layer} outside {count} layers"
             )
     try:
         with open(path + ".json", "r", encoding="utf-8") as fh:

@@ -295,6 +295,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:

@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -350,6 +352,85 @@ class TestModelKinds:
         assert params_digest(load_params(copy, autoencoder)) == params_digest(params)
 
 
+class TestModelFileRefusals:
+    """A missing model file, or an autoencoder whose latent layer is not an
+    inner layer, exits 2 with the message naming the file; no --out is
+    left."""
+
+    @staticmethod
+    def eval_with(dataset_path, flag, path) -> int:
+        return run_cli("eval", "--dataset", dataset_path, flag, path,
+                       "--matrix", "fixed:only-leader", "--episodes", "1",
+                       "--out", "out")
+
+    @pytest.mark.parametrize("flag, model", [("--encoder", "encoder"),
+                                             ("--autoencoder", "autoencoder")])
+    def test_missing_file(self, tmp_path, monkeypatch, capsys, dataset_path,
+                          flag, model):
+        monkeypatch.chdir(tmp_path)
+        assert self.eval_with(dataset_path, flag, "missing.bin") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"slackline: data error: {model} file not found: missing.bin")
+        assert not (tmp_path / "out").exists()
+
+    # the latent index, stored after the layer sizes, set to the input layer
+    # or to the output layer
+    @pytest.mark.parametrize("latent", [lambda count: 0, lambda count: count - 1],
+                             ids=["input", "output"])
+    def test_latent_layer_out_of_range(self, tmp_path, monkeypatch, capsys,
+                                       dataset_path, autoencoder_path, latent):
+        monkeypatch.chdir(tmp_path)
+        blob = bytearray(open(autoencoder_path, "rb").read())
+        (count,) = struct.unpack_from("<I", blob, 8)
+        struct.pack_into("<I", blob, 12 + 4 * count, latent(count))
+        (tmp_path / "ae.bin").write_bytes(bytes(blob))
+        shutil.copyfile(autoencoder_path + ".json", tmp_path / "ae.bin.json")
+        assert self.eval_with(dataset_path, "--autoencoder", "ae.bin") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"slackline: data error: ae.bin: latent layer {latent(count)} "
+            f"outside {count} layers")
+        assert not (tmp_path / "out").exists()
+
+
+class TestConfigRanges:
+    """Each range check of the two config classes refuses a bad value with
+    its message; through --config the command exits 2 naming the file and
+    the block."""
+
+    @pytest.mark.parametrize("block, fields, message", [
+        ("task", {"keypoint_count": 2}, "keypoint_count must be >= 3, got 2"),
+        ("task", {"dlo_length_range": [0.7, 0.5]},
+         "bad dlo_length_range (0.7, 0.5)"),
+        ("task", {"joint_limit": 0.0}, "joint_limit must be positive"),
+        ("task", {"reach_min": 0.45}, "reach_min must be smaller than reach_max"),
+        ("task", {"obstacle_clearance": 0.03},
+         "obstacle_clearance must be >= obstacle_radius"),
+        ("task", {"obstacle_count": -1}, "obstacle_count must be >= 0"),
+        ("task", {"horizon_max": 0}, "horizon_max must be >= 1"),
+        ("task", {"arm_bases": [[0.0, 0.3], [1.0, 0.3]]},
+         "arm bases 1.000 m apart leave no shared region (need < 0.900 m)"),
+        ("train", {"negatives": 0}, "negatives must be >= 1"),
+        ("train", {"epochs": 0}, "epochs must be >= 1"),
+        ("train", {"learning_rate": -0.001}, "learning_rate must be positive"),
+    ])
+    def test_bad_value_exits_2(self, tmp_path, monkeypatch, capsys, block,
+                               fields, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({block: fields}))
+        code = run_cli("collect", "--config", "cfg.json", "--out", "d.jsonl",
+                       "--episodes", "1", "--pool-size", "1")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"slackline: data error: cfg.json: {block}: {message}")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_arm_id_out_of_range(self):
+        from slackline.config import TaskConfig
+
+        with pytest.raises(ValueError, match=r"^arm_id must be 1 or 2, got 3$"):
+            TaskConfig().arm(3)
+
+
 class TestInputChecks:
     """Non-finite config numbers and wrongly shaped dataset states are
     refused where they come in, with a message naming the source."""
@@ -420,16 +501,26 @@ class TestRun:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_render_flag_writes_frames(self, tmp_path, dataset_path, encoder_path):
+        """`run` has no `--render`: a run's frames come from `run --out`
+        followed by `slackline render`, one per recorded state, and a second
+        render of the same result writes the same bytes."""
         out = tmp_path / "ep.json"
-        frames = tmp_path / "frames"
-        code = run_cli(
-            "run", "--dataset", dataset_path, "--encoder", encoder_path,
-            "--seed", "5", "--out", str(out), "--render", str(frames),
-        )
-        assert code == 0
+        args = ("run", "--dataset", dataset_path, "--encoder", encoder_path,
+                "--seed", "5", "--out", str(out))
+        with pytest.raises(SystemExit) as err:
+            run_cli(*args, "--render", str(tmp_path / "frames"))
+        assert err.value.code == 1
+        assert not out.exists()
+        assert run_cli(*args) == 0
         result = json.loads(out.read_text())
-        svgs = sorted(os.listdir(frames))
-        assert len(svgs) == result["steps"] + 1
+        renders = []
+        for name in ("a", "b"):
+            frames = tmp_path / name
+            assert run_cli("render", "--result", str(out), "--out", str(frames)) == 0
+            svgs = sorted(os.listdir(frames))
+            assert len(svgs) == result["steps"] + 1
+            renders.append([(frames / svg).read_bytes() for svg in svgs])
+        assert renders[0] == renders[1]
 
 
 class TestEval:
@@ -553,12 +644,13 @@ class TestTrainCommands:
     @pytest.mark.parametrize("command", ["train", "train-ae"])
     def test_seed_is_taken_mod_2_63(self, tmp_path, dataset_path, command):
         """A training seed is reduced mod 2**63, as every other command's
-        is: -1 trains the model of 2**63 - 1, and 2**63 the model of 0."""
+        is: -1 trains the model of 2**63 - 1, 2**63 the model of 0, and
+        10**400 the model of its remainder."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train": {"epochs": 1, "embed_dim": 8}}))
 
         def model(seed: int) -> bytes:
-            out = tmp_path / f"{seed}.bin"
+            out = tmp_path / "model.bin"
             assert run_cli(command, "--dataset", dataset_path, "--out", str(out),
                            "--seed", str(seed), "--config", str(cfg)) == 0
             return out.read_bytes()
@@ -566,6 +658,8 @@ class TestTrainCommands:
         assert model(-1) == model(2**63 - 1)
         assert model(2**63) == model(0)
         assert model(-1) != model(0)
+        # a seed too large to convert to a float
+        assert model(10**400) == model(10**400 % 2**63)
 
     def test_collect_small(self, tmp_path):
         out = tmp_path / "mini.jsonl"
@@ -613,6 +707,7 @@ class TestTrainCommands:
 
 class TestRenderCommand:
     def test_render_from_result_file(self, tmp_path, dataset_path, encoder_path):
+        """One frame per recorded state."""
         ep = tmp_path / "ep.json"
         run_cli(
             "run", "--dataset", dataset_path, "--encoder", encoder_path,
@@ -621,7 +716,8 @@ class TestRenderCommand:
         out = tmp_path / "frames"
         code = run_cli("render", "--result", str(ep), "--out", str(out))
         assert code == 0
-        assert len(os.listdir(out)) > 0
+        result = json.loads(ep.read_text())
+        assert len(os.listdir(out)) == result["steps"] + 1
 
     def test_missing_result_exits_2(self):
         assert run_cli("render", "--result", "/nope.json", "--out", "/tmp/f") == 2
@@ -645,6 +741,30 @@ def test_readme_config_example_uses_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(example)
     assert load_config_file(str(path)) == (TaskConfig(), TrainConfig())
+
+
+def test_readme_commands_parse():
+    """Every `slackline ...` command in the README's code blocks, with its
+    backslash continuations joined, parses with the current flags; none is
+    run. Each subcommand appears at least once."""
+    import argparse
+
+    from slackline.cli import build_parser
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    blocks = readme.split("```")[1::2]
+    commands = [line for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("slackline ")]
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert {line.split()[1] for line in commands} == set(sub.choices)
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 class TestRefusals:
@@ -735,7 +855,6 @@ CLI_SURFACE = {
         ("--encoder",): (None, None, False),
         ("--out",): (None, None, False),
         ("--planner",): ("contrastive", None, False),
-        ("--render",): (None, None, False),
         ("--seed",): (0, int, False),
     },
     "eval": {
@@ -821,3 +940,66 @@ def test_out_parent_is_created(tmp_path, dataset_path, argv):
     out = tmp_path / "new" / "dir" / "out"
     assert run_cli(*argv, "--out", str(out)) == 0
     assert out.stat().st_size > 0
+
+
+@pytest.fixture(scope="module")
+def result_path(tmp_path_factory, dataset_path):
+    path = tmp_path_factory.mktemp("cli-run") / "ep.json"
+    assert run_cli("run", "--dataset", dataset_path, "--planner", "template",
+                   "--out", str(path)) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, writes", [
+    (["collect", "--episodes", "1", "--seed", "6", "--pool-size", "3"], "a file"),
+    (["train", "--dataset", "{ds}", "--config", "{cfg}"], "a file"),
+    (["train-ae", "--dataset", "{ds}", "--config", "{cfg}"], "a file"),
+    (["run", "--dataset", "{ds}", "--planner", "template"], "a file"),
+    (["eval", "--dataset", "{ds}", "--matrix", "fixed:only-leader",
+      "--episodes", "1"], "a directory"),
+    (["sweep", "--dataset", "{ds}", "--encoder", "{enc}", "--param",
+      "reach_max", "--values", "0.45", "--episodes", "1"], "a directory"),
+    (["render", "--result", "{res}"], "a directory"),
+], ids=lambda argv: argv[0] if isinstance(argv, list) else None)
+def test_out_of_the_other_kind_is_refused(tmp_path, monkeypatch, capsys,
+                                          dataset_path, encoder_path,
+                                          result_path, argv, writes):
+    """An --out that exists as the other kind (a directory where the
+    command writes a file, a file where it writes a directory) is refused
+    as a usage error before anything is loaded, and left as it was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"train": {"epochs": 1}}))
+    if writes == "a file":
+        (tmp_path / "out").mkdir()
+    else:
+        (tmp_path / "out").write_text("kept")
+    argv = [a.format(ds=dataset_path, cfg="cfg.json", enc=encoder_path,
+                     res=result_path) for a in argv]
+    assert run_cli(*argv, "--out", "out") == 1
+    found = "a file" if writes == "a directory" else "a directory"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"slackline: error: --out out is {found}; {argv[0]} writes {writes} "
+        f"there")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
+    if writes == "a file":
+        assert os.listdir(tmp_path / "out") == []
+    else:
+        assert (tmp_path / "out").read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv", [
+    ["collect", "--episodes", "1", "--seed", "6", "--pool-size", "3"],
+    ["render", "--result", "{res}"],
+], ids=lambda argv: argv[0])
+def test_out_below_a_file_is_refused(tmp_path, monkeypatch, capsys, result_path,
+                                     argv):
+    """An --out below an existing file could not be created: it is refused
+    as a usage error before anything is loaded."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("kept")
+    argv = [a.format(res=result_path) for a in argv]
+    assert run_cli(*argv, "--out", "f/new/out") == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "slackline: error: --out f/new/out lies below the file f")
+    assert os.listdir(tmp_path) == ["f"]
+    assert (tmp_path / "f").read_text() == "kept"

@@ -21,7 +21,7 @@ import json
 import pytest
 
 from slackline.config import TrainConfig
-from slackline.encoder import AE_MAGIC, PARAMS_VERSION, container_bytes, params_digest
+from slackline.encoder import params_digest
 from slackline.explore import save_dataset
 from slackline.harness import FULL_MATRIX, EvalArtifacts, evaluate, sweep
 from slackline.planner import train_autoencoder
@@ -71,11 +71,6 @@ class TestGoldenPipeline:
         assert params_digest(small_encoder) == self.ENCODER
 
     def test_autoencoder_container(self, autoencoder):
-        blob = container_bytes(
-            AE_MAGIC, PARAMS_VERSION, autoencoder.sizes, (autoencoder.latent_layer,),
-            autoencoder.weights, autoencoder.biases,
-        )
-        assert sha256(blob) == self.AUTOENCODER
         assert params_digest(autoencoder) == self.AUTOENCODER
 
     def test_evaluate(self, task_config, artifacts):
