@@ -44,7 +44,7 @@ from .harness import (
 )
 from .planner import train_autoencoder
 from .policy import EpisodeResult
-from .simulator import GenerationError, InfeasibleActionError
+from .simulator import GenerationError, InfeasibleActionError, generate_env
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -306,6 +306,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _envs_in_dataset(task: TaskConfig, env_seeds: list[int],
+                     dataset: explore.Dataset) -> int:
+    """How many of the start states of `env_seeds` equal the first state of
+    a dataset episode."""
+    starts = {(ep.states[0].q.tobytes(), ep.states[0].o.tobytes())
+              for ep in dataset.episodes}
+    envs = (generate_env(task, s).quantized() for s in env_seeds)
+    return sum((env.q.tobytes(), env.o.tobytes()) in starts for env in envs)
+
+
 def _cmd_eval(args) -> int:
     inputs = _load_inputs(args)
     task, _, artifacts, _ = inputs
@@ -319,7 +329,8 @@ def _cmd_eval(args) -> int:
     for (p, c), results in zip(cells, per_cell):
         files[f"results_{p}+{c}.jsonl"] = "".join(map(_json_line, results))
     _write_report(args, inputs, table.env_seeds, files, table.csv(), dt,
-                  cells=cells)
+                  cells=cells, eval_envs_in_dataset=_envs_in_dataset(
+                      task, table.env_seeds, artifacts.dataset))
     return 0
 
 

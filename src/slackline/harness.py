@@ -13,6 +13,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -201,6 +202,9 @@ def summarize(
 # evaluation context by fork; every episode is fully determined by its seeds,
 # so results are independent of the worker count. A pool task is one
 # environment with every cell on it, so the workers stay busy to near the end.
+# The cells of one task share one transition table (see `run_episode`): they
+# start from one state under one config and often make the same first drags.
+# The table lives for one task only.
 
 _CTX: dict = {}
 
@@ -209,9 +213,11 @@ def _episode_task(seeds: tuple[int, int]) -> list[EpisodeResult]:
     env_seed, episode_seed = seeds
     config = _CTX["config"]
     env = generate_env(config, env_seed)
+    transitions: dict = {}
     out = []
     for planner, controller in zip(_CTX["planners"], _CTX["controllers"]):
-        out.append(run_episode(env, planner, controller, config, episode_seed))
+        out.append(run_episode(env, planner, controller, config, episode_seed,
+                               transitions))
     return out
 
 
@@ -486,16 +492,22 @@ def render_state_svg(
 
 def render_episode(result: EpisodeResult, config: TaskConfig, out_dir: str) -> list[str]:
     """One SVG per recorded state; the frame for step t overlays the subgoal
-    pursued at step t (the final frame has none). Returns written paths."""
+    pursued at step t (the final frame has none). Frames of an earlier,
+    longer episode in `out_dir` are removed, and no other file. Returns
+    written paths."""
     os.makedirs(out_dir, exist_ok=True)
+    names = [f"step_{t:03d}.svg" for t in range(len(result.states))]
+    for name in set(os.listdir(out_dir)) - set(names):
+        if re.fullmatch(r"step_(\d{3}|[1-9]\d{3,})\.svg", name):
+            os.remove(os.path.join(out_dir, name))
     paths = []
-    for t, state in enumerate(result.states):
+    for t, (state, name) in enumerate(zip(result.states, names)):
         subgoal = result.subgoals[t] if t < len(result.subgoals) else None
         title = f"step {t}/{result.steps}" + (
             " (success)" if result.success and t == result.steps else ""
         )
         svg = render_state_svg(state, config, subgoal, title)
-        path = os.path.join(out_dir, f"step_{t:03d}.svg")
+        path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)
         paths.append(path)

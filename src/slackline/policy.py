@@ -3,6 +3,7 @@ step until the goal predicate fires or the horizon runs out."""
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -82,6 +83,7 @@ def run_episode(
     controller: Controller,
     config: TaskConfig,
     seed: int,
+    transitions: dict | None = None,
 ) -> EpisodeResult:
     """One closed-loop episode from `env`, replanning the subgoal each step.
 
@@ -91,7 +93,26 @@ def run_episode(
     single-arm correspondence drag, with no follower; if that also fails the
     episode ends as a failure. States are recorded at file precision so
     results replay bit-exactly from disk.
+
+    `transitions` is a table from the bytes of an input state's `q` and `o`
+    and of a drag to the quantized state that drag leaves. A drag found
+    there is not executed again: `execute` is pure in (state, action,
+    config), so one table may serve the episodes of one config, as
+    `harness._episode_task` shares one between the cells of an environment.
+    Without one, the episode keeps its own.
     """
+    transitions = {} if transitions is None else transitions
+
+    def step(state: EnvState, drag: PickPlace) -> EnvState:
+        key = (state.q.tobytes(), state.o.tobytes(),
+               struct.pack("<2q4d", drag.arm_id, drag.pick_index, *drag.pick,
+                           *drag.place))
+        after = transitions.get(key)
+        if after is None:
+            after = transitions[key] = execute(state, ActionPair(drag),
+                                               config).quantized()
+        return after
+
     rng = make_rng(seed, "episode-rng")
     planner.reset(seed)
     state = env.quantized()
@@ -112,10 +133,10 @@ def run_episode(
         if leader is None:
             failure = "no-action"
             break
-        state = execute(state, ActionPair(leader), config).quantized()
+        state = step(state, leader)
         follower = None if fallback else controller.follow(state, subgoal, leader, rng)
         if follower is not None:
-            state = execute(state, ActionPair(follower), config).quantized()
+            state = step(state, follower)
         states.append(state)
         actions.append(ActionPair(leader, follower))
         subgoals.append(subgoal)

@@ -322,13 +322,17 @@ def _drag(
     guarantees the drag never finishes mid-fight, and the exact rebuild makes
     link lengths exact while preserving directions, so bends survive it.
 
-    `budgets` holds one lower bound per obstacle on the clearance of every
-    keypoint but the pin and of every link midpoint (the pass neither moves
-    nor tests the pin). A budget is measured, the pin included, at the start
-    and whenever a pass's charge leaves it at most 0; it is charged with the
-    pin's increment and each pass's displacement bound. Each pass skips the
-    disc tests of obstacles whose budget exceeds _CULL_ALLOWANCE while a
-    point moves less than that (see `_constrained_pass`).
+    Obstacle b's clearance budget is `levels[b] - spent`: a lower bound on
+    the clearance of every keypoint but the pin and of every link midpoint
+    (the pass neither moves nor tests the pin). `spent` is one running
+    charge, the sum of the pin's increments and each pass's displacement
+    bound, so a charge costs one addition whatever the obstacle count. A
+    level is measured, the pin included, at the start and again by `_cull`.
+    `_cull` works out the obstacles whose budget is within _CULL_ALLOWANCE
+    and the next-event charge, at which that set or a level next changes;
+    until `spent` reaches it, a pass looks at no budget. Each pass skips the
+    disc tests of the other obstacles while a point moves less than the
+    allowance (see `_constrained_pass`).
     """
     x0 = xs[pin]
     y0 = ys[pin]
@@ -341,21 +345,22 @@ def _drag(
     sin_lim = math.sin(config.joint_limit)
     dot_lim = cos_lim * link_len * link_len
 
-    budgets = [_obstacle_margin(xs, ys, c, mu) for c in obstacles]
+    levels = [_obstacle_margin(xs, ys, c, mu) for c in obstacles]
+    spent = 0.0
+    near, event = _cull(xs, ys, obstacles, mu, levels, spent)
 
     # one culled pass; returns its displacement bound and conflict count
     def project() -> tuple[float, int]:
+        nonlocal spent, near, event
+        if spent >= event:
+            near, event = _cull(xs, ys, obstacles, mu, levels, spent)
         max_move, conflicts, cone = _constrained_pass(
             xs, ys, pin, link_len, cos_lim, sin_lim, dot_lim,
-            width, height, obstacles, mu, _near(obstacles, budgets),
+            width, height, obstacles, mu, near,
         )
         stats.joint_clamps += cone
         stats.placement_conflicts += conflicts
-        for b in range(len(budgets)):
-            budget = budgets[b] - max_move
-            if budget <= 0.0:
-                budget = _obstacle_margin(xs, ys, obstacles[b], mu)
-            budgets[b] = budget
+        spent += max_move
         return max_move, conflicts
 
     inv = 1.0 / SUBSTEPS
@@ -376,8 +381,7 @@ def _drag(
             px, py = cpx, cpy
         xs[pin] = px
         ys[pin] = py
-        for b in range(len(budgets)):
-            budgets[b] -= moved
+        spent += moved
 
         for _ in range(PROJECTION_ITERS):
             max_move, conflicts = project()
@@ -398,19 +402,45 @@ def _drag(
 # exceeds _CULL_ALLOWANCE (triangle inequality), so the pass tests it against
 # the near obstacles only. Any positive allowance is exact; 1 cm, about six
 # pin increments at the default max step, was fastest in a sweep of 2 mm to
-# 5 cm (scripts/bench_executor.py). On that corpus 99.9% of placements use
-# the near list, testing 0.47 of the 4 discs on average. The slack keeps a
-# skipped test at least 1e-9 clear of firing, far above the rounding of the
-# budgets and the distances.
+# 5 cm (scripts/bench_executor.py). On the executes of three perfbench eval
+# rounds a pass's near list holds 0.64 of the 4 discs on average; measuring
+# a near disc again at every pass would make that 0.54, but costs more than
+# the tests it saves (see `_cull`). The slack keeps a skipped test at least
+# 1e-9 clear of firing, far above the rounding of the budgets and the
+# distances.
 _CULL_ALLOWANCE = 0.01
 _CULL_SLACK = 1e-9
 
 
-def _near(
-    obstacles: list[tuple[float, float]], budgets: list[float]
-) -> list[tuple[float, float]]:
-    """The obstacles whose clearance budget is within _CULL_ALLOWANCE."""
-    return [c for c, budget in zip(obstacles, budgets) if budget <= _CULL_ALLOWANCE]
+def _cull(
+    xs: list[float],
+    ys: list[float],
+    obstacles: list[tuple[float, float]],
+    mu: float,
+    levels: list[float],
+    spent: float,
+) -> tuple[list[tuple[float, float]], float]:
+    """Measure again every obstacle whose budget `levels[b] - spent` is at
+    most -_CULL_ALLOWANCE, then return the obstacles whose budget is within
+    _CULL_ALLOWANCE and the next-event charge: the least `spent` at which a
+    far obstacle's budget falls to the allowance or a near one's to minus
+    the allowance. Measuring a near obstacle again only lets the cull drop
+    it once the chain has moved away, so a chain resting against a disc
+    measures it once per allowance of charge, not at every pass."""
+    near = []
+    event = math.inf
+    for b, c in enumerate(obstacles):
+        level = levels[b]
+        if level <= spent - _CULL_ALLOWANCE:
+            level = levels[b] = spent + _obstacle_margin(xs, ys, c, mu)
+        if level - spent <= _CULL_ALLOWANCE:
+            near.append(c)
+            level += _CULL_ALLOWANCE
+        else:
+            level -= _CULL_ALLOWANCE
+        if level < event:
+            event = level
+    return near, event
 
 
 def _constrained_pass(

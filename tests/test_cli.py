@@ -547,6 +547,27 @@ class TestEval:
         results = (out / "results_contrastive+leader-follower.jsonl")
         assert len(results.read_text().splitlines()) == 3
 
+    def test_eval_envs_in_dataset(self, tmp_path, dataset_path, small_dataset):
+        """At the dataset's own collect seed the eval environments are the
+        ones collect drew, so the kept ones count; another seed's share
+        none."""
+        counts = []
+        for seed in (202, 203):
+            out = tmp_path / str(seed)
+            code = run_cli(
+                "eval", "--dataset", dataset_path, "--matrix",
+                "fixed:leader-follower", "--episodes", "6", "--seed", str(seed),
+                "--out", str(out),
+            )
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            kept = {ep.seed for ep in small_dataset.episodes}
+            assert manifest["eval_envs_in_dataset"] == len(
+                kept.intersection(manifest["env_seeds"]))
+            counts.append(manifest["eval_envs_in_dataset"])
+        assert counts[0] > 0
+        assert counts[1] == 0
+
     def test_full_matrix_needs_autoencoder(self, tmp_path, dataset_path, encoder_path):
         code = run_cli(
             "eval", "--dataset", dataset_path, "--encoder", encoder_path,

@@ -1,14 +1,18 @@
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from slackline.config import TaskConfig
+import slackline.policy
+from slackline.config import TaskConfig, TrainConfig
 from slackline.geometry import sequence_feasible
 from slackline.harness import (
+    FULL_MATRIX,
     EvalArtifacts,
+    MetricsTable,
     MissingModelError,
     UnknownCellError,
     evaluate,
@@ -22,7 +26,9 @@ from slackline.harness import (
     sweep,
     sweep_config,
 )
-from slackline.policy import run_episode
+from slackline.planner import train_autoencoder
+from slackline.policy import EpisodeResult, run_episode
+from slackline.seeding import derive_seed
 from slackline.simulator import generate_env
 
 
@@ -138,6 +144,62 @@ class TestEvaluate:
         assert row.mean_actions <= task_config.horizon_max
 
 
+@pytest.fixture(scope="module")
+def full_artifacts(small_dataset, small_encoder):
+    cfg = TrainConfig(embed_dim=8, batch_anchors=16, epochs=3, seed=2)
+    return EvalArtifacts(small_dataset, small_encoder,
+                         train_autoencoder(small_dataset, cfg).params)
+
+
+def results_lines(per_cell) -> list[str]:
+    return [json.dumps(r.to_obj(), separators=(",", ":"))
+            for results in per_cell for r in results]
+
+
+class TestTransitionTable:
+    """The cells of one environment share one table of executed drags."""
+
+    def test_same_bytes_as_cells_run_alone(self, task_config, full_artifacts):
+        """csv_full() and every results line of the full matrix equal those
+        of each cell's episodes run one by one, with no table."""
+        n, seed = 7, 41
+        alone = []
+        for p, c in FULL_MATRIX:
+            planner = make_planner(p, full_artifacts, seed)
+            controller = make_controller(c, task_config)
+            alone.append([
+                run_episode(generate_env(task_config, derive_seed(seed, "env", i)),
+                            planner, controller, task_config,
+                            derive_seed(seed, "episode", i))
+                for i in range(n)
+            ])
+        rows = [summarize(p, c, results, task_config.horizon_max)
+                for (p, c), results in zip(FULL_MATRIX, alone)]
+        env_seeds = [derive_seed(seed, "env", i) for i in range(n)]
+        want = (MetricsTable(rows, env_seeds).csv_full(), results_lines(alone))
+        for workers in (1, 2):
+            table, per_cell = evaluate(list(FULL_MATRIX), n, task_config, seed,
+                                       full_artifacts, workers=workers)
+            assert (table.csv_full(), results_lines(per_cell)) == want
+
+    def test_repeated_drags_are_not_executed(self, task_config, full_artifacts,
+                                             monkeypatch):
+        calls = 0
+        execute = slackline.policy.execute
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return execute(*args)
+
+        monkeypatch.setattr(slackline.policy, "execute", counting)
+        _, per_cell = evaluate(list(FULL_MATRIX), 7, task_config, 41,
+                               full_artifacts)
+        drags = sum(len(list(a.sequences()))
+                    for results in per_cell for r in results for a in r.actions)
+        assert 0 < calls < drags
+
+
 class TestActionAudit:
     def test_logged_actions_pass_feasibility_post_hoc(
         self, task_config, small_table
@@ -231,6 +293,24 @@ class TestRendering:
         svg1 = render_state_svg(r1.states[0], task_config, r1.subgoals[0])
         svg2 = render_state_svg(r2.states[0], task_config, r2.subgoals[0])
         assert svg1 == svg2
+
+    def test_stale_frames_removed(self, tmp_path, task_config):
+        """A 5-frame render into the folder of a 13-frame one leaves exactly
+        5 frames, and every file that is not a frame."""
+        env = generate_env(task_config, 31)
+
+        def result(steps):
+            return EpisodeResult(False, steps, [env] * (steps + 1), [],
+                                 [env] * steps, [None] * steps, [], 0, "horizon")
+
+        others = ["notes.txt", "step_01.svg", "step_0012.svg", "step_012.png"]
+        for name in others:
+            (tmp_path / name).write_text("kept")
+        assert len(render_episode(result(12), task_config, str(tmp_path))) == 13
+        paths = render_episode(result(4), task_config, str(tmp_path))
+        frames = [f"step_{t:03d}.svg" for t in range(5)]
+        assert paths == [str(tmp_path / name) for name in frames]
+        assert sorted(os.listdir(tmp_path)) == sorted(frames + others)
 
     def test_curve_svg_well_formed(self, task_config, artifacts):
         result, _ = sweep("reach_max", [0.40, 0.45], 3, task_config, 7, artifacts)

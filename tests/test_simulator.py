@@ -313,6 +313,20 @@ def golden_corpus():
         yield state, _arbitrary_action(state, config, rng), config
 
 
+def pin_side_drag(allowance):
+    """(state, action, config) of a drag whose first pin increment alone
+    brings a disc within `allowance` of the chain: the disc starts 2e-5
+    beyond it from the midpoint of the pin's link, the chain's nearest
+    point, and a pin increment of 7.8e-5 toward the disc moves that
+    midpoint half as far."""
+    config = TaskConfig(obstacle_clearance=TaskConfig().obstacle_radius)
+    link = 0.6 / 15
+    q = np.array([[0.3 + i * link, 0.2] for i in range(16)])
+    o = np.array([[0.3 + link / 2, 0.2 + config.obstacle_radius + allowance + 2e-5]])
+    return (EnvState(q, o), ActionPair(PickPlace(1, 0, (0.3, 0.2), (0.3, 0.205))),
+            config)
+
+
 class TestGolden:
     # sha256 of the golden corpus's quantized output states and ExecStats as
     # the executor without the disc-test cull produced them; a change to the
@@ -371,36 +385,36 @@ class TestGolden:
         assert digest.hexdigest() == self.DIGEST
 
     def test_budgets_bound_clearance(self, monkeypatch):
-        """Every clearance budget at the start of a pass is at most the
-        obstacle's true clearance, so the pass may cull by it. The pin is
-        left out of the clearance: the pass neither moves nor tests it."""
-        near = simulator._near
+        """At the start of every pass, each obstacle left out of the tested
+        set is farther than the allowance from every keypoint but the pin
+        and from every link midpoint, so culling its disc tests changes
+        nothing; on the golden corpus and the pin-side drag, at each of
+        test_outputs_unchanged's allowances. The pin is left out: the pass
+        neither moves nor tests it."""
         constrained_pass = simulator._constrained_pass
-        budgets = []
         checked = 0
-
-        def recording_near(obstacles, current):
-            budgets[:] = current
-            return near(obstacles, current)
 
         def checking_pass(xs, ys, pin, *args):
             nonlocal checked
-            obstacles, mu = args[-3:-1]
-            assert len(budgets) == len(obstacles)
+            obstacles, mu, near = args[-3:]
             points = [(x, y) for i, (x, y) in enumerate(zip(xs, ys)) if i != pin]
             points += [(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[i] + ys[i + 1]))
                        for i in range(len(xs) - 1)]
-            for (ox, oy), budget in zip(obstacles, budgets):
-                true = min(math.hypot(x - ox, y - oy) for x, y in points) - mu
-                assert budget <= true + 1e-12
-                checked += 1
+            for ox, oy in obstacles:
+                if (ox, oy) not in near:
+                    clearance = min(math.hypot(x - ox, y - oy) for x, y in points) - mu
+                    assert clearance > simulator._CULL_ALLOWANCE - 1e-12
+                    checked += 1
             return constrained_pass(xs, ys, pin, *args)
 
-        monkeypatch.setattr(simulator, "_near", recording_near)
         monkeypatch.setattr(simulator, "_constrained_pass", checking_pass)
-        for state, action, config in golden_corpus():
-            execute(state, action, config)
-        assert checked > 100_000
+        for allowance in (simulator._CULL_ALLOWANCE, 1e-4, 2e-3):
+            monkeypatch.setattr(simulator, "_CULL_ALLOWANCE", allowance)
+            checked = 0
+            for state, action, config in golden_corpus():
+                execute(state, action, config)
+            assert checked > 100_000, allowance
+            execute(*pin_side_drag(allowance))
 
 
 class TestGoalAndReward:
