@@ -40,6 +40,7 @@ from .harness import (
     render_curve_svg,
     render_episode,
     sweep,
+    sweep_config,
     write_run_manifest,
 )
 from .planner import train_autoencoder
@@ -355,8 +356,12 @@ def _cmd_sweep(args) -> int:
     dt = time.perf_counter() - t0
     name = f"sweep_{args.param}"
     files = {f"{name}.csv": result.csv(), f"{name}.svg": render_curve_svg(result)}
+    in_dataset = [_envs_in_dataset(sweep_config(task, args.param, v),
+                                   result.env_seeds, artifacts.dataset)
+                  for v in values]
     _write_report(args, inputs, result.env_seeds, files, result.csv(), dt,
-                  sweep_param=args.param, sweep_values=values)
+                  sweep_param=args.param, sweep_values=values,
+                  eval_envs_in_dataset=in_dataset)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Contrastive encoder, and the MLP and training loop it shares with the autoencoder.
 
-A plain two-hidden-layer MLP maps a flattened, workspace-normalized state to
-a unit embedding. Training pulls together states from the same episode and
+A plain two-hidden-layer MLP maps a workspace-scaled state row (`model_input`)
+to a unit embedding. Training pulls together states from the same episode and
 pushes apart states from different episodes with the InfoNCE objective under
 exponential bilinear similarity; gradients are exact analytic backprop and
 the optimizer keeps bias-corrected per-parameter first and second moments.
@@ -139,28 +139,21 @@ def mlp_backward(
 
 
 def model_layout(task: TaskConfig) -> tuple[tuple[float, float], int]:
-    """A task's (workspace extents, model input size), as state_input reads it."""
+    """A task's (workspace extents, model input size), as model_input reads it."""
     workspace = (task.workspace_width, task.workspace_height)
     return workspace, (task.keypoint_count + task.obstacle_count) * 2
 
 
-def state_input(state: EnvState, workspace: tuple[float, float]) -> np.ndarray:
-    """Flatten keypoints then obstacle centers, normalized to [0, 1] by the
-    workspace extents."""
-    w, h = workspace
-    scale = np.array([1.0 / w, 1.0 / h])
-    return np.concatenate([(state.q * scale).ravel(), (state.o * scale).ravel()])
-
-
-def states_matrix(
-    states: list[EnvState], workspace: tuple[float, float], input_dim: int
-) -> np.ndarray:
-    x = np.stack([state_input(s, workspace) for s in states])
-    if x.shape[1] != input_dim:
+def model_input(params: MlpParams, rows: np.ndarray) -> np.ndarray:
+    """The model's input for stacked `EnvState.row()`s: every x divided by
+    the workspace width and every y by its height, into [0, 1]."""
+    if rows.shape[1] != params.input_dim:
         raise DimensionMismatchError(
-            f"state inputs have dim {x.shape[1]}, encoder expects {input_dim}"
+            f"state inputs have dim {rows.shape[1]}, encoder expects "
+            f"{params.input_dim}"
         )
-    return x
+    w, h = params.workspace
+    return rows * np.tile([1.0 / w, 1.0 / h], params.input_dim // 2)
 
 
 def _forward(
@@ -190,8 +183,7 @@ def encode_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def encode(params: MlpParams, state: EnvState) -> np.ndarray:
     """Unit embedding of one state."""
-    x = states_matrix([state], params.workspace, params.input_dim)
-    return encode_batch(params, x)[0]
+    return encode_batch(params, model_input(params, state.row()[None]))[0]
 
 
 def similarity(z1: np.ndarray, z2: np.ndarray) -> float:
@@ -396,9 +388,9 @@ def train(
     workspace, input_dim = model_layout(dataset.config)
     params = init_params(input_dim, cfg.embed_dim, workspace, cfg.seed, hidden)
 
-    states, ep_ids, steps = dataset.state_table()
-    x_all = states_matrix(states, workspace, input_dim)
-    n = len(states)
+    rows, ep_ids, steps = dataset.state_table()
+    x_all = model_input(params, rows)
+    n = len(rows)
 
     # per-episode flat index ranges for positive sampling
     starts = np.flatnonzero(steps == 0).tolist()
@@ -494,8 +486,9 @@ def save_params(
 
 def load_params(path: str, autoencoder: bool = False) -> MlpParams:
     """The encoder saved at `path`, or with `autoencoder` the autoencoder.
-    The error names the file if it is missing, holds the other model or is
-    malformed, and the sidecar if that has no two-number workspace."""
+    The error names the file if it is missing, holds the other model, is
+    malformed or holds a NaN or infinite weight or bias, and the sidecar if
+    that has no two-number workspace."""
     model = "autoencoder" if autoencoder else "encoder"
     if not os.path.exists(path):
         raise FileNotFoundError(f"{model} file not found: {path}")
@@ -531,6 +524,8 @@ def load_params(path: str, autoencoder: bool = False) -> MlpParams:
         raise ParamsFormatError(f"{path}: truncated parameter file") from err
     if offset != len(blob):
         raise ParamsFormatError(f"{path}: trailing or missing bytes")
+    if not all(np.isfinite(a).all() for a in weights + biases):
+        raise ParamsFormatError(f"{path}: a weight or bias is NaN or infinite")
     latent_layer = count - 1
     if autoencoder:
         latent_layer = fields[-1]

@@ -17,7 +17,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -107,13 +107,14 @@ class Dataset:
     goal_pool: tuple[EnvState, ...]
     config: TaskConfig
 
-    def state_table(self) -> tuple[list[EnvState], np.ndarray, np.ndarray]:
-        """Every state in (episode, step) order, with the episode index and
-        the step index of each row."""
+    def state_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every state's `EnvState.row()`, stacked in (episode, step) order,
+        with the episode index and the step index of each row."""
         lengths = [len(ep.states) for ep in self.episodes]
         episode = np.repeat(np.arange(len(lengths)), lengths)
         step = np.arange(len(episode)) - np.searchsorted(episode, episode)
-        return [s for ep in self.episodes for s in ep.states], episode, step
+        rows = np.stack([s.row() for ep in self.episodes for s in ep.states])
+        return rows, episode, step
 
     def achieved_goals(self) -> tuple[EnvState, ...]:
         return tuple(ep.achieved_goal for ep in self.episodes)
@@ -316,25 +317,30 @@ def load_dataset(path: str) -> Dataset:
         config = _apply_fields(TaskConfig(), header["config"], "config")
         goals = tuple(EnvState.from_obj(s) for s in header["goals"])
         declared = int(header["episodes"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise MalformedDatasetError(f"{path}:1: bad header: {err}") from err
     # every state must fit the header's task; a goal is a chain shape only
     # (collect may draw goals from a pool built under other obstacles)
     shapes = ((config.keypoint_count, 2), (config.obstacle_count, 2))
-    for goal in goals:
+    for i, goal in enumerate(goals):
         if goal.q.shape != shapes[0]:
             raise MalformedDatasetError(
                 f"{path}:1: goal shape q {goal.q.shape}; the header gives "
                 f"q {shapes[0]}"
             )
+        if not np.isfinite(goal.row()).all():
+            raise MalformedDatasetError(f"{path}:1: goal {i} holds NaN or infinity")
     episodes: list[Episode] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             episodes.append(Episode.from_obj(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                OverflowError) as err:
             raise MalformedDatasetError(f"{path}:{lineno}: {err}") from err
+        linenos.append(lineno)
         for state in episodes[-1].states:
             if (state.q.shape, state.o.shape) != shapes:
                 raise MalformedDatasetError(
@@ -347,7 +353,24 @@ def load_dataset(path: str) -> Dataset:
             f"{path}: header declares {declared} episodes, found {len(episodes)} "
             f"(truncated file?)"
         )
+    if episodes and not _all_finite(episodes):
+        j = next(j for j, ep in enumerate(episodes) if not _all_finite([ep]))
+        raise MalformedDatasetError(
+            f"{path}:{linenos[j]}: a state, action or lambda holds NaN or infinity"
+        )
     return Dataset(tuple(episodes), goals, config)
+
+
+def _all_finite(episodes: Sequence[Episode]) -> bool:
+    """Whether every state coordinate, drag coordinate and lambda of the
+    (one or more) `episodes` is finite: one vectorised test per kind, none
+    per number."""
+    points = [xy for ep in episodes for s in ep.states for xy in (s.q, s.o)]
+    drags = [d.pick + d.place for ep in episodes for a in ep.actions
+             for d in a.sequences()]
+    return bool(np.isfinite(np.concatenate(points)).all()
+                and np.isfinite(drags).all()
+                and np.isfinite([ep.dlo_length for ep in episodes]).all())
 
 
 def replay_episode(episode: Episode, config: TaskConfig) -> list[EnvState]:

@@ -67,17 +67,8 @@ class EvalArtifacts:
     dataset: Dataset
     encoder: MlpParams | None = None
     autoencoder: MlpParams | None = None
-    index: EmbeddingIndex | None = None
+    index: EmbeddingIndex | None = None  # the contrastive planner's, once built
     retrieval: dict[str, object] = field(default_factory=dict)
-
-    def require_index(self) -> EmbeddingIndex:
-        if self.index is None:
-            if self.encoder is None:
-                raise MissingModelError(
-                    "cell needs a trained encoder (run `slackline train`)"
-                )
-            self.index = build_index(self.dataset, self.encoder)
-        return self.index
 
 
 def make_planner(name: str, artifacts: EvalArtifacts, seed: int):
@@ -94,7 +85,12 @@ def make_planner(name: str, artifacts: EvalArtifacts, seed: int):
 
 def _retrieval_planner(name: str, artifacts: EvalArtifacts):
     if name == "contrastive":
-        return ContrastivePlanner(artifacts.require_index(), artifacts.encoder)
+        if artifacts.encoder is None:
+            raise MissingModelError(
+                "cell needs a trained encoder (run `slackline train`)"
+            )
+        artifacts.index = build_index(artifacts.dataset, artifacts.encoder)
+        return ContrastivePlanner(artifacts.index, artifacts.encoder)
     if name == "template":
         return TemplatePlanner(artifacts.dataset)
     if name == "autoencoder":

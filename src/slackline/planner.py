@@ -6,6 +6,8 @@ state's episode's achieved goal: a reachable, feasibility-proven target that
 points the controller in a promising direction. The ablations swap the
 retrieval for a fixed draw, a per-episode random draw, geometric-space
 nearest neighbor, or nearest neighbor in an autoencoder latent space.
+The three retrieval planners embed `Dataset.state_table()`'s rows, score
+them against the query and pick through `EmbeddingIndex.best`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from .encoder import (
     init_mlp,
     mlp_backward,
     mlp_forward,
+    model_input,
     model_layout,
-    states_matrix,
 )
 from .explore import Dataset
+from .policy import Planner
 from .seeding import make_rng
 from .simulator import EnvState
 
@@ -41,9 +44,9 @@ class EmptyIndexError(ValueError):
 @dataclass
 class EmbeddingIndex:
     """One row per dataset state, in (episode, step) order: the state as a
-    planner embeds it (the encoder's unit embedding, the raw q||o vector or
+    planner embeds it (the encoder's unit embedding, the raw state row or
     the autoencoder latent) and its (episode, step), with the per-episode
-    achieved goals."""
+    achieved goals; `best` turns a planner's scores of the rows into a pick."""
 
     embeddings: np.ndarray
     episode_idx: np.ndarray
@@ -53,73 +56,55 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return self.embeddings.shape[0]
 
-    def lookup(self, row: int) -> tuple[EnvState, tuple[int, int]]:
-        """(the row's episode's achieved goal, (episode, step))."""
+    def best(self, scores: np.ndarray) -> tuple[EnvState, tuple[int, int]]:
+        """(The top-scoring row's episode's achieved goal, (episode, step));
+        ties break to the first row, the smallest (episode, step)."""
+        if len(self) == 0:
+            raise EmptyIndexError("empty embedding index")
+        row = int(np.argmax(scores))
         j = int(self.episode_idx[row])
         return self.goals[j], (j, int(self.step_idx[row]))
 
 
 def _index_states(
-    dataset: Dataset, embed: Callable[[list[EnvState]], np.ndarray]
+    dataset: Dataset, embed: Callable[[np.ndarray], np.ndarray]
 ) -> EmbeddingIndex:
-    """Index every dataset state; `embed` maps a state list to one row each."""
+    """Index every dataset state; `embed` maps the state rows to embeddings."""
     if not dataset.episodes:
         raise EmptyIndexError("dataset has no episodes")
-    states, episode_idx, step_idx = dataset.state_table()
+    rows, episode_idx, step_idx = dataset.state_table()
     return EmbeddingIndex(
-        embed(states), episode_idx, step_idx, dataset.achieved_goals()
+        embed(rows), episode_idx, step_idx, dataset.achieved_goals()
     )
 
 
 def build_index(dataset: Dataset, params: MlpParams) -> EmbeddingIndex:
     """Encode every state of every episode, in (episode, step) order."""
-    return _index_states(dataset, lambda states: encode_batch(
-        params, states_matrix(states, params.workspace, params.input_dim)
-    ))
+    return _index_states(
+        dataset, lambda rows: encode_batch(params, model_input(params, rows))
+    )
 
 
 def retrieve(
     index: EmbeddingIndex, params: MlpParams, query: EnvState
 ) -> tuple[EnvState, tuple[int, int]]:
     """Most similar stored state under exponential bilinear similarity;
-    returns (its episode's achieved goal, (episode, step)). Ties break to the
-    smallest (episode, step), which is the first index row."""
-    if len(index) == 0:
-        raise EmptyIndexError("empty embedding index")
-    return index.lookup(int(np.argmax(index.embeddings @ encode(params, query))))
+    returns (its episode's achieved goal, (episode, step))."""
+    return index.best(index.embeddings @ encode(params, query))
 
 
-class _NearestL2:
-    """Shared by the planners that retrieve the row nearest to the embedded
-    query in squared L2 distance, expanded as |r|^2 - 2 r.v + |v|^2."""
-
-    def __init__(self, index: EmbeddingIndex) -> None:
-        self.index = index
-        self.sq_norms = np.einsum("nd,nd->n", index.embeddings, index.embeddings)
-
-    def reset(self, episode_seed: int) -> None:
-        pass
-
-    def nearest(self, v: np.ndarray) -> tuple[EnvState, tuple[int, int]]:
-        d2 = self.sq_norms - 2.0 * (self.index.embeddings @ v) + v @ v
-        return self.index.lookup(int(np.argmin(d2)))
-
-
-class ContrastivePlanner:
+class ContrastivePlanner(Planner):
     name = "contrastive"
 
     def __init__(self, index: EmbeddingIndex, params: MlpParams) -> None:
         self.index = index
         self.params = params
 
-    def reset(self, episode_seed: int) -> None:
-        pass
-
     def plan(self, state: EnvState) -> tuple[EnvState, tuple[int, int] | None]:
         return retrieve(self.index, self.params, state)
 
 
-class FixedPlanner:
+class FixedPlanner(Planner):
     """One achieved goal drawn once per evaluation run."""
 
     name = "fixed"
@@ -131,14 +116,11 @@ class FixedPlanner:
         self.choice = int(rng.integers(len(goals)))
         self.goals = goals
 
-    def reset(self, episode_seed: int) -> None:
-        pass
-
     def plan(self, state: EnvState) -> tuple[EnvState, tuple[int, int] | None]:
         return self.goals[self.choice], (self.choice, None)
 
 
-class RandomPlanner:
+class RandomPlanner(Planner):
     """A fresh achieved goal drawn per episode."""
 
     name = "random"
@@ -158,22 +140,25 @@ class RandomPlanner:
         return self.goals[self.choice], (self.choice, None)
 
 
-def _raw(state: EnvState) -> np.ndarray:
-    return np.concatenate([state.q.ravel(), state.o.ravel()])
+def _nearest_in(index: EmbeddingIndex) -> Callable[[np.ndarray], tuple]:
+    """The pick of the index row nearest to an embedded query in squared L2
+    distance, expanded as |r|^2 - 2 r.v + |v|^2 with every |r|^2 computed
+    once; the scores are the negated distances."""
+    e = index.embeddings
+    sq_norms = np.einsum("nd,nd->n", e, e)
+    return lambda v: index.best(-(sq_norms - 2.0 * (e @ v) + v @ v))
 
 
-class TemplatePlanner(_NearestL2):
+class TemplatePlanner(Planner):
     """Nearest stored state by geometric-space L2 distance."""
 
     name = "template"
 
     def __init__(self, dataset: Dataset) -> None:
-        super().__init__(_index_states(
-            dataset, lambda states: np.stack([_raw(s) for s in states])
-        ))
+        self.nearest = _nearest_in(_index_states(dataset, lambda rows: rows))
 
     def plan(self, state: EnvState) -> tuple[EnvState, tuple[int, int] | None]:
-        return self.nearest(_raw(state))
+        return self.nearest(state.row())
 
 
 # Autoencoder ablation: mirrored architecture, raw (unnormalized) latent,
@@ -191,7 +176,7 @@ def train_autoencoder(
     sizes = (input_dim, HIDDEN, HIDDEN, cfg.embed_dim, HIDDEN, HIDDEN, input_dim)
     params = init_mlp(sizes, 3, workspace, cfg.seed, 0x6165)
 
-    x_all = states_matrix(dataset.state_table()[0], workspace, input_dim)
+    x_all = model_input(params, dataset.state_table()[0])
 
     def batch_step(rng, rows):
         x = x_all[rows]
@@ -204,18 +189,18 @@ def train_autoencoder(
                progress=progress)
 
 
-class AutoencoderPlanner(_NearestL2):
+class AutoencoderPlanner(Planner):
     """Nearest stored state by L2 distance in the autoencoder latent space."""
 
     name = "autoencoder"
 
     def __init__(self, ae: MlpParams, dataset: Dataset) -> None:
         self.ae = ae
-        super().__init__(_index_states(dataset, self.latents))
+        self.nearest = _nearest_in(_index_states(dataset, self.latents))
 
-    def latents(self, states: list[EnvState]) -> np.ndarray:
-        x = states_matrix(states, self.ae.workspace, self.ae.input_dim)
+    def latents(self, rows: np.ndarray) -> np.ndarray:
+        x = model_input(self.ae, rows)
         return mlp_forward(self.ae, x, self.ae.latent_layer)
 
     def plan(self, state: EnvState) -> tuple[EnvState, tuple[int, int] | None]:
-        return self.nearest(self.latents([state])[0])
+        return self.nearest(self.latents(state.row()[None])[0])

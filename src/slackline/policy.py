@@ -16,9 +16,13 @@ from .simulator import ActionPair, EnvState, PickPlace, execute, goal_reached
 
 
 class Planner(Protocol):
+    """`reset` before each episode, then `plan` at every step. A planner whose
+    pick does not depend on the episode keeps this no-op `reset`."""
+
     name: str
 
-    def reset(self, episode_seed: int) -> None: ...
+    def reset(self, episode_seed: int) -> None:
+        pass
 
     def plan(self, state: EnvState) -> tuple[EnvState, tuple | None]: ...
 

@@ -100,6 +100,11 @@ class EnvState:
     def keypoint_count(self) -> int:
         return self.q.shape[0]
 
+    def row(self) -> np.ndarray:
+        """The state as one flat vector: keypoints, then obstacle centers.
+        Every model input and planner index is built from these rows."""
+        return np.concatenate([self.q.ravel(), self.o.ravel()])
+
     def link_length(self) -> float:
         """Mean consecutive keypoint distance; for valid chains this is the
         common link length."""

@@ -353,9 +353,9 @@ class TestModelKinds:
 
 
 class TestModelFileRefusals:
-    """A missing model file, or an autoencoder whose latent layer is not an
-    inner layer, exits 2 with the message naming the file; no --out is
-    left."""
+    """A missing model file, a NaN or infinite weight or bias, or an
+    autoencoder whose latent layer is not an inner layer, exits 2 with the
+    message naming the file; no --out is left."""
 
     @staticmethod
     def eval_with(dataset_path, flag, path) -> int:
@@ -390,6 +390,30 @@ class TestModelFileRefusals:
             f"slackline: data error: ae.bin: latent layer {latent(count)} "
             f"outside {count} layers")
         assert not (tmp_path / "out").exists()
+
+    # the first weight set to NaN, or the last bias to infinity; an
+    # autoencoder's header holds one more u32, its latent layer
+    @pytest.mark.parametrize("last, value", [(False, math.nan), (True, math.inf)],
+                             ids=["nan-first-weight", "inf-last-bias"])
+    @pytest.mark.parametrize("flag, kind", [("--encoder", 0),
+                                            ("--autoencoder", 1)])
+    def test_non_finite_weight(self, tmp_path, monkeypatch, capsys,
+                               dataset_path, encoder_path, autoencoder_path,
+                               flag, kind, last, value):
+        monkeypatch.chdir(tmp_path)
+        source = autoencoder_path if kind else encoder_path
+        blob = bytearray(open(source, "rb").read())
+        (count,) = struct.unpack_from("<I", blob, 8)
+        offset = len(blob) - 8 if last else 12 + 4 * (count + kind)
+        struct.pack_into("<d", blob, offset, value)
+        (tmp_path / "m.bin").write_bytes(bytes(blob))
+        shutil.copyfile(source + ".json", tmp_path / "m.bin.json")
+        code = run_cli("run", "--dataset", dataset_path, flag, "m.bin",
+                       "--planner", "fixed", "--seed", "1", "--out", "r.json")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "slackline: data error: m.bin: a weight or bias is NaN or infinite")
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestConfigRanges:
@@ -432,8 +456,9 @@ class TestConfigRanges:
 
 
 class TestInputChecks:
-    """Non-finite config numbers and wrongly shaped dataset states are
-    refused where they come in, with a message naming the source."""
+    """Non-finite config and dataset numbers and wrongly shaped dataset
+    states are refused where they come in, with a message naming the
+    source."""
 
     @staticmethod
     def edited_copy(tmp_path, dataset_path, lineno, edit) -> str:
@@ -485,6 +510,60 @@ class TestInputChecks:
                   "--out", str(tmp_path / "r")])
         assert run_cli(command, "--dataset", path, *extra) == 2
         assert f"{path}:{lineno}: {message}" in capsys.readouterr().err
+
+    # a state's coordinate, a drag's place, an episode's lambda or a header
+    # goal's coordinate written as a literal that json reads as NaN or
+    # infinity (1e999 overflows to inf)
+    @pytest.mark.parametrize("lineno, where", [
+        (3, lambda obj: (obj["states"][1]["q"][4], 0)),
+        (3, lambda obj: (obj["actions"][0]["leader"]["place"], 1)),
+        (4, lambda obj: (obj, "lambda")),
+        (1, lambda obj: (obj["goals"][2]["q"][0], 1)),
+    ], ids=["state", "action", "lambda", "goal"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_dataset_number_exits_2(self, tmp_path, capsys,
+                                               dataset_path, lineno, where,
+                                               token):
+        def edit(obj):
+            holder, key = where(obj)
+            holder[key] = "@non-finite@"
+
+        path = self.edited_copy(tmp_path, dataset_path, lineno, edit)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().replace('"@non-finite@"', token)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = tmp_path / "e.bin"
+        assert run_cli("train", "--dataset", path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{lineno}: " in err and "NaN or infinity" in err
+        assert not out.exists()
+
+    # an integer field written as Infinity: int() raises OverflowError, not
+    # ValueError, and that too is refused with the line
+    @pytest.mark.parametrize("lineno, key", [(3, "seed"), (1, "episodes")])
+    def test_infinite_integer_field_exits_2(self, tmp_path, capsys, dataset_path,
+                                            lineno, key):
+        def edit(obj):
+            obj[key] = math.inf
+
+        path = self.edited_copy(tmp_path, dataset_path, lineno, edit)
+        assert run_cli("train", "--dataset", path, "--out",
+                       str(tmp_path / "e.bin")) == 2
+        assert f"{path}:{lineno}: " in capsys.readouterr().err
+
+    def test_non_finite_dataset_refused_by_eval(self, tmp_path, capsys,
+                                                dataset_path):
+        def edit(obj):
+            obj["states"][0]["o"][0][1] = math.nan
+
+        path = self.edited_copy(tmp_path, dataset_path, 5, edit)
+        out = tmp_path / "r"
+        assert run_cli("eval", "--dataset", path, "--matrix",
+                       "fixed:leader-follower", "--episodes", "1",
+                       "--out", str(out)) == 2
+        assert f"{path}:5: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -547,10 +626,11 @@ class TestEval:
         results = (out / "results_contrastive+leader-follower.jsonl")
         assert len(results.read_text().splitlines()) == 3
 
-    def test_eval_envs_in_dataset(self, tmp_path, dataset_path, small_dataset):
+    def test_eval_envs_in_dataset(self, tmp_path, dataset_path, encoder_path,
+                                  small_dataset):
         """At the dataset's own collect seed the eval environments are the
         ones collect drew, so the kept ones count; another seed's share
-        none."""
+        none. A sweep writes the count of each of its points."""
         counts = []
         for seed in (202, 203):
             out = tmp_path / str(seed)
@@ -567,6 +647,20 @@ class TestEval:
             counts.append(manifest["eval_envs_in_dataset"])
         assert counts[0] > 0
         assert counts[1] == 0
+
+        # sweep: one count per point, each under that point's task; a wider
+        # obstacle radius draws other environments, so none is in the dataset
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--dataset", dataset_path, "--encoder", encoder_path,
+            "--param", "obstacle_radius", "--values", "0.04,0.05",
+            "--episodes", "6", "--seed", "202", "--out", str(out),
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        keys = list(manifest)
+        assert keys.index("eval_envs_in_dataset") == keys.index("sweep_values") + 1
+        assert manifest["eval_envs_in_dataset"] == [counts[0], 0]
 
     def test_full_matrix_needs_autoencoder(self, tmp_path, dataset_path, encoder_path):
         code = run_cli(

@@ -16,11 +16,11 @@ from slackline.encoder import (
     info_nce_loss,
     init_params,
     load_params,
+    model_input,
     numerical_gradient,
     params_digest,
     save_params,
     similarity,
-    state_input,
     train,
     _draw_negatives,
     _grad_step,
@@ -145,14 +145,22 @@ class TestEncode:
     def test_dimension_mismatch(self):
         params = init_params(36, 8, (1.0, 0.6), seed=0)
         bad = random_states(1, m=10, b=2)[0]
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError,
+                           match="state inputs have dim 24, encoder expects 36"):
             encode(params, bad)
 
     def test_input_normalization_uses_workspace(self):
         state = random_states(1)[0]
-        x = state_input(state, (2.0, 1.0))
-        q_scaled = state.q / np.array([2.0, 1.0])
-        assert np.allclose(x[: q_scaled.size], q_scaled.ravel())
+        params = init_params(36, 8, (1.3, 0.7), seed=0)
+        x = model_input(params, state.row()[None])[0]
+        scale = np.array([1.3, 0.7])
+        assert np.allclose(x[: state.q.size], (state.q / scale).ravel())
+        assert np.allclose(x[state.q.size :], (state.o / scale).ravel())
+        # bit for bit the per-state multiply by the reciprocal extents
+        inv = 1.0 / scale
+        assert np.array_equal(
+            x, np.concatenate([(state.q * inv).ravel(), (state.o * inv).ravel()])
+        )
 
 
 class TestGradients:

@@ -102,6 +102,20 @@ class TestEpisodeInvariants:
             Episode(ep.states, ep.actions[:-1] if ep.actions else (), ep.seed, 0.6)
 
 
+class TestStateTable:
+    def test_rows_are_state_rows_in_order(self, small_dataset):
+        rows, episode, step = small_dataset.state_table()
+        want = [(j, t, s) for j, ep in enumerate(small_dataset.episodes)
+                for t, s in enumerate(ep.states)]
+        assert rows.shape == (len(want), want[0][2].row().size)
+        assert rows.dtype == np.float64
+        for i, (j, t, state) in enumerate(want):
+            assert np.array_equal(rows[i], state.row())
+            assert np.array_equal(rows[i], np.concatenate([state.q.ravel(),
+                                                           state.o.ravel()]))
+            assert (episode[i], step[i]) == (j, t)
+
+
 class TestPersistence:
     def test_roundtrip_identity(self, tmp_path, small_dataset):
         path = tmp_path / "ds.jsonl"
@@ -115,6 +129,12 @@ class TestPersistence:
         save_dataset(small_dataset, str(p1))
         save_dataset(load_dataset(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_zero_episode_file_loads(self, tmp_path, small_dataset):
+        empty = Dataset((), small_dataset.goal_pool, small_dataset.config)
+        path = tmp_path / "ds.jsonl"
+        save_dataset(empty, str(path))
+        assert load_dataset(str(path)) == empty
 
     def test_truncated_file_rejected(self, tmp_path, small_dataset):
         path = tmp_path / "ds.jsonl"

@@ -88,6 +88,48 @@ class TestRetrieve:
             AutoencoderPlanner(ae, empty)
 
 
+class TestLookupContract:
+    """Every retrieval planner picks through `EmbeddingIndex.best`, whose ties
+    break to the first row: with every episode stored twice, each stored
+    state retrieves its first copy."""
+
+    def test_duplicates_resolve_to_first_copy(self, small_dataset,
+                                              small_encoder):
+        from slackline.explore import Dataset
+
+        doubled = Dataset(small_dataset.episodes * 2, small_dataset.goal_pool,
+                          small_dataset.config)
+        ae = train_autoencoder(
+            small_dataset, TrainConfig(embed_dim=8, batch_anchors=16, epochs=3,
+                                       seed=2)
+        ).params
+        planners = [ContrastivePlanner(build_index(doubled, small_encoder),
+                                       small_encoder),
+                    TemplatePlanner(doubled), AutoencoderPlanner(ae, doubled)]
+        for planner in planners:
+            planner.reset(0)
+            for j, ep in enumerate(small_dataset.episodes):
+                for t, state in enumerate(ep.states):
+                    goal, ident = planner.plan(state)
+                    assert ident == (j, t), planner.name
+                    assert goal == ep.achieved_goal
+
+    def test_best_breaks_ties_to_first_row(self, index):
+        scores = np.zeros(len(index))
+        scores[[3, 7, len(index) - 1]] = 1.0
+        goal, (j, t) = index.best(scores)
+        assert (j, t) == (int(index.episode_idx[3]), int(index.step_idx[3]))
+        assert goal == index.goals[j]
+
+    def test_best_on_empty_index_raises(self, index):
+        from slackline.planner import EmbeddingIndex
+
+        empty = EmbeddingIndex(index.embeddings[:0], index.episode_idx[:0],
+                               index.step_idx[:0], ())
+        with pytest.raises(EmptyIndexError):
+            empty.best(np.zeros(0))
+
+
 class TestAblationPlanners:
     def test_fixed_constant_across_queries_and_episodes(self, small_dataset):
         goals = tuple(ep.achieved_goal for ep in small_dataset.episodes)

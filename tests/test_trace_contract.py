@@ -49,12 +49,16 @@ def artifacts(small_dataset, small_encoder):
 
 
 def test_pooled_evaluate_reaches_every_layer(task_config, artifacts):
+    # the artifacts are this test's alone, so every planner, the index
+    # included, is built inside the traced run
     calls = traced(lambda: harness.evaluate(
         list(harness.FULL_MATRIX), 2, task_config, 5, artifacts, 2
     ))
     names = ["geometry.sequence_feasible", "simulator.execute",
-             "controller.feasible_correspondence_actions"]
+             "controller.feasible_correspondence_actions",
+             "planner.build_index", "encoder.encode_batch"]
     names += [f"planner.{p}.plan" for p in harness.PLANNER_NAMES]
     names += [f"controller.{c}.select" for c in harness.CONTROLLER_NAMES]
     for name in names:
         assert calls.get(name, 0) > 0, name
+    assert calls["planner.build_index"] == 1
