@@ -23,6 +23,7 @@ from functools import partial
 from . import __version__, explore
 from .config import TaskConfig, TrainConfig, config_digest, load_config_file
 from .encoder import (
+    InsufficientDataError,
     MlpParams,
     load_params,
     model_layout,
@@ -161,13 +162,18 @@ def _cmd_collect(args) -> int:
 
 def _fit(args, fit):
     """Train a model with `fit`, one stderr line per epoch, and save it to
-    --out; returns (report, seconds)."""
+    --out; returns (report, seconds). A dataset too small to train on is
+    refused by its path."""
     dataset = load_dataset(args.dataset)
     _, train_cfg = _load_configs(args.config)
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
     t0 = time.perf_counter()
-    report = fit(dataset, train_cfg, progress=partial(_print_epoch, args.command))
+    try:
+        report = fit(dataset, train_cfg,
+                     progress=partial(_print_epoch, args.command))
+    except InsufficientDataError as err:
+        raise InsufficientDataError(f"{args.dataset}: {err}") from None
     save_params(report.params, _make_parent(args.out), train_cfg,
                 report.epoch_losses)
     return report, time.perf_counter() - t0

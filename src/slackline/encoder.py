@@ -6,6 +6,11 @@ pushes apart states from different episodes with the InfoNCE objective under
 exponential bilinear similarity; gradients are exact analytic backprop and
 the optimizer keeps bias-corrected per-parameter first and second moments.
 
+A pass over the whole state table (the per-epoch probe here, the planners'
+index embeddings) runs through `in_blocks`, ROW_BLOCK rows at a time, so its
+memory depends on the block and the batch, not on the dataset; each output
+row keeps the bits of one whole-table call.
+
 Everything is deterministic given the training seed.
 """
 
@@ -34,6 +39,7 @@ ZERO_NORM = 1e-12
 ADAM_EPS = 1e-8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
+ROW_BLOCK = 1024  # rows per block of a whole-table pass; at least 2
 
 
 class DimensionMismatchError(ValueError):
@@ -156,6 +162,21 @@ def model_input(params: MlpParams, rows: np.ndarray) -> np.ndarray:
     return rows * np.tile([1.0 / w, 1.0 / h], params.input_dim // 2)
 
 
+def in_blocks(
+    fn: Callable[[np.ndarray], np.ndarray], table: np.ndarray
+) -> np.ndarray:
+    """The row-wise `fn` applied to `table` ROW_BLOCK rows at a time, the
+    results concatenated. A one-row remainder joins the block before it:
+    numpy runs a one-row product through BLAS's matrix-vector path, which
+    rounds differently, while a block of two or more rows gives every row
+    the bits of one call on the whole table."""
+    n = len(table)
+    cuts = list(range(ROW_BLOCK, n, ROW_BLOCK))
+    if cuts and n - cuts[-1] == 1:
+        cuts.pop()
+    return np.concatenate([fn(block) for block in np.split(table, cuts)])
+
+
 def _forward(
     params: MlpParams, x: np.ndarray, acts: list[np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -256,10 +277,11 @@ def _grad_step(
 def _probe_loss(
     params: MlpParams, x_all: np.ndarray, probe_rows: np.ndarray
 ) -> float:
-    """Mean InfoNCE loss of the probe groups: every state is encoded once and
-    the groups gather their rows from the embeddings, so the loss equals the
-    one over the gathered inputs without repeating any state's pass."""
-    z = _forward(params, x_all)[0]
+    """Mean InfoNCE loss of the probe groups: every state is encoded once, in
+    blocks, and the groups gather their rows from the embeddings, so the loss
+    equals the one over the gathered inputs without repeating any state's
+    pass."""
+    z = in_blocks(lambda x: _forward(params, x)[0], x_all)
     return _info_nce(z[probe_rows])[0]
 
 

@@ -7,12 +7,16 @@ points the controller in a promising direction. The ablations swap the
 retrieval for a fixed draw, a per-episode random draw, geometric-space
 nearest neighbor, or nearest neighbor in an autoencoder latent space.
 The three retrieval planners embed `Dataset.state_table()`'s rows, score
-them against the query and pick through `EmbeddingIndex.best`.
+them against the query and pick through `EmbeddingIndex.best`. The
+contrastive and autoencoder planners normalize and embed the rows in blocks
+(`encoder.in_blocks`), so building an index needs memory for the table and
+its embeddings but not for a whole-table pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,11 +24,13 @@ import numpy as np
 from .config import TrainConfig
 from .encoder import (
     HIDDEN,
+    InsufficientDataError,
     MlpParams,
     TrainReport,
     encode,
     encode_batch,
     fit,
+    in_blocks,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -81,7 +87,9 @@ def _index_states(
 def build_index(dataset: Dataset, params: MlpParams) -> EmbeddingIndex:
     """Encode every state of every episode, in (episode, step) order."""
     return _index_states(
-        dataset, lambda rows: encode_batch(params, model_input(params, rows))
+        dataset,
+        partial(in_blocks,
+                lambda rows: encode_batch(params, model_input(params, rows))),
     )
 
 
@@ -172,6 +180,8 @@ def train_autoencoder(
 ) -> TrainReport:
     """Minimize mean squared reconstruction error over all dataset states.
     Each epoch's loss is its mean batch loss; `progress` is as in `fit`."""
+    if not dataset.episodes:
+        raise InsufficientDataError("dataset has no episodes")
     workspace, input_dim = model_layout(dataset.config)
     sizes = (input_dim, HIDDEN, HIDDEN, cfg.embed_dim, HIDDEN, HIDDEN, input_dim)
     params = init_mlp(sizes, 3, workspace, cfg.seed, 0x6165)
@@ -196,7 +206,8 @@ class AutoencoderPlanner(Planner):
 
     def __init__(self, ae: MlpParams, dataset: Dataset) -> None:
         self.ae = ae
-        self.nearest = _nearest_in(_index_states(dataset, self.latents))
+        self.index = _index_states(dataset, partial(in_blocks, self.latents))
+        self.nearest = _nearest_in(self.index)
 
     def latents(self, rows: np.ndarray) -> np.ndarray:
         x = model_input(self.ae, rows)

@@ -1,5 +1,6 @@
 """Closed-loop policy: observe, plan a subgoal, act, execute, replan every
-step until the goal predicate fires or the horizon runs out."""
+step until the goal predicate fires, the controller finds no drag or the
+horizon runs out."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from typing import Protocol
 import numpy as np
 
 from .config import TaskConfig
-from .controller import random_single_arm
 from .seeding import make_rng
 from .simulator import ActionPair, EnvState, PickPlace, execute, goal_reached
 
@@ -93,10 +93,12 @@ def run_episode(
 
     Each step executes the controller's leader drag, then asks the controller
     for a follower drag on the state the leader left and executes that. A
-    controller returning no leader falls back to one uniform random feasible
-    single-arm correspondence drag, with no follower; if that also fails the
-    episode ends as a failure. States are recorded at file precision so
-    results replay bit-exactly from disk.
+    controller returning no leader ends the episode as a "no-action" failure:
+    every shipped controller returns none only when no feasible
+    correspondence drag exists, so no other drag could act there either.
+    Each step's roles keep a "fallback" field, always False, for the results
+    file format. States are recorded at file precision so results replay
+    bit-exactly from disk.
 
     `transitions` is a table from the bytes of an input state's `q` and `o`
     and of a drag to the quantized state that drag leaves. A drag found
@@ -131,14 +133,11 @@ def run_episode(
     for _ in range(config.horizon_max):
         subgoal, ident = planner.plan(state)
         leader = controller.select(state, subgoal, rng)
-        fallback = leader is None
-        if fallback:
-            leader = random_single_arm(state, subgoal, config, rng)
         if leader is None:
             failure = "no-action"
             break
         state = step(state, leader)
-        follower = None if fallback else controller.follow(state, subgoal, leader, rng)
+        follower = controller.follow(state, subgoal, leader, rng)
         if follower is not None:
             state = step(state, follower)
         states.append(state)
@@ -149,7 +148,7 @@ def run_episode(
             {
                 "leader_arm": leader.arm_id,
                 "follower": follower is not None,
-                "fallback": fallback,
+                "fallback": False,
             }
         )
         if goal_reached(state, config):

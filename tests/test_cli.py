@@ -722,6 +722,23 @@ class TestTrainCommands:
         assert ae.sizes[0] == 40
         assert ae.sizes[3] == 8
 
+    @pytest.mark.parametrize("command, episodes, reason", [
+        ("train", 0, "need at least two episodes for negatives"),
+        ("train", 1, "need at least two episodes for negatives"),
+        ("train-ae", 0, "dataset has no episodes"),
+    ])
+    def test_too_small_dataset_refused_by_path(self, tmp_path, capsys,
+                                               small_dataset, command,
+                                               episodes, reason):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(Dataset(small_dataset.episodes[:episodes],
+                             small_dataset.goal_pool, small_dataset.config),
+                     str(path))
+        out = tmp_path / "model.bin"
+        assert run_cli(command, "--dataset", str(path), "--out", str(out)) == 2
+        assert f"{path}: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "train-ae"])
     def test_train_reports_epochs_on_stderr(self, tmp_path, capsys,
                                             dataset_path, command):

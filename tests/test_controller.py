@@ -15,7 +15,7 @@ from slackline.controller import (
 )
 from slackline.geometry import Point, Segment, sequence_feasible
 from slackline.seeding import make_rng
-from slackline.simulator import ActionPair, EnvState, PickPlace, execute
+from slackline.simulator import ActionPair, EnvState, PickPlace, execute, generate_env
 
 
 def state_of(points, obstacles=()):
@@ -212,6 +212,34 @@ class TestAblationControllers:
     def test_random_single_arm_fallback(self):
         pp = random_single_arm(self.state, self.subgoal, self.cfg, make_rng(1))
         assert isinstance(pp, PickPlace)
+
+
+class TestSelectNoneIffNoFeasibleDrag:
+    """Every shipped controller returns no leader exactly when no feasible
+    correspondence drag exists, so no other correspondence drag could act
+    where the closed loop ends an episode as no-action."""
+
+    def test_on_random_pairs(self, task_config):
+        rng = make_rng(5)
+        controllers = [LeaderFollower(task_config), OnlyLeader(task_config),
+                       RandomControl(task_config)]
+        seen = {True: 0, False: 0}
+        for i in range(60):
+            state = generate_env(task_config, 3000 + i)
+            q = state.q.copy()
+            k = int(rng.integers(len(q)))
+            q[k] = rng.uniform((0.0, 0.0), (task_config.workspace_width,
+                                            task_config.workspace_height))
+            # another environment's chain, one keypoint moved, and the state
+            # itself (every keypoint converged)
+            for subgoal in (generate_env(task_config, 4000 + i),
+                            EnvState(q, state.o), state):
+                empty = not feasible_correspondence_actions(state, subgoal,
+                                                            task_config)
+                seen[empty] += 1
+                for ctl in controllers:
+                    assert (ctl.select(state, subgoal, rng) is None) == empty
+        assert seen[True] > 60 and seen[False] > 60
 
 
 class TestEmittedActionsFeasible:
