@@ -9,7 +9,10 @@ the optimizer keeps bias-corrected per-parameter first and second moments.
 A pass over the whole state table (the per-epoch probe here, the planners'
 index embeddings) runs through `in_blocks`, ROW_BLOCK rows at a time, so its
 memory depends on the block and the batch, not on the dataset; each output
-row keeps the bits of one whole-table call.
+row keeps the bits of one whole-table call. Training updates in place what
+it can (layer outputs, backprop deltas, Adam's moments) and backprop frees
+each activation once used; each in-place operation is the IEEE operation of
+the expression it replaces, so the bits do not move.
 
 Everything is deterministic given the training seed.
 """
@@ -115,13 +118,16 @@ def mlp_forward(
 ) -> np.ndarray:
     """The batch x through the first `layers` layers, all by default. Each
     layer's output is appended to `acts` when it is given, for mlp_backward;
-    inference keeps none."""
+    inference keeps none. The bias and the rectifier are applied in place on
+    the product, the same IEEE operations as `h @ w + b` and
+    `np.maximum(h, 0.0)` without their two extra arrays per layer."""
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights[:layers], params.biases[:layers])):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i != params.latent_layer - 1 and i != last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         if acts is not None:
             acts.append(h)
     return h
@@ -131,16 +137,25 @@ def mlp_backward(
     params: MlpParams, acts: list[np.ndarray], delta: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Weight and bias gradients, given d loss / d output `delta` and the
-    batch followed by the layer outputs that mlp_forward kept in `acts`."""
+    batch followed by the layer outputs that mlp_forward kept in `acts`.
+
+    `acts` is consumed: each layer's input leaves the list once its weight
+    gradient and its rectifier mask are taken, so a layer's activations are
+    freed before the next delta is made, unless the caller holds them too.
+    The mask is applied in place, as `delta * mask` would compute it."""
     grad_w: list[np.ndarray] = [None] * len(params.weights)  # type: ignore
     grad_b: list[np.ndarray] = [None] * len(params.biases)  # type: ignore
+    del acts[len(params.weights):]  # the output plays no part
     for layer in range(len(params.weights) - 1, -1, -1):
-        grad_w[layer] = acts[layer].T @ delta
+        a = acts.pop()
+        grad_w[layer] = a.T @ delta
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
+            mask = a > 0.0 if layer != params.latent_layer else None
+            del a
             delta = delta @ params.weights[layer].T
-            if layer != params.latent_layer:
-                delta = delta * (acts[layer] > 0.0)
+            if mask is not None:
+                delta *= mask
     return grad_w, grad_b
 
 
@@ -163,15 +178,19 @@ def model_input(params: MlpParams, rows: np.ndarray) -> np.ndarray:
 
 
 def in_blocks(
-    fn: Callable[[np.ndarray], np.ndarray], table: np.ndarray
+    fn: Callable[[np.ndarray], np.ndarray],
+    table: np.ndarray,
+    size: int | None = None,
 ) -> np.ndarray:
-    """The row-wise `fn` applied to `table` ROW_BLOCK rows at a time, the
-    results concatenated. A one-row remainder joins the block before it:
-    numpy runs a one-row product through BLAS's matrix-vector path, which
-    rounds differently, while a block of two or more rows gives every row
-    the bits of one call on the whole table."""
+    """The row-wise `fn` applied to `table` `size` (by default ROW_BLOCK,
+    at least 2) rows at a time, the results concatenated. A one-row
+    remainder joins the block before it: numpy runs a one-row product
+    through BLAS's matrix-vector path, which rounds differently, while a
+    block of two or more rows gives every row the bits of one call on the
+    whole table."""
     n = len(table)
-    cuts = list(range(ROW_BLOCK, n, ROW_BLOCK))
+    size = ROW_BLOCK if size is None else size
+    cuts = list(range(size, n, size))
     if cuts and n - cuts[-1] == 1:
         cuts.pop()
     return np.concatenate([fn(block) for block in np.split(table, cuts)])
@@ -223,10 +242,10 @@ def info_nce_loss(
     return _info_nce(np.vstack([anchor, positive, negatives])[None])[0]
 
 
-def _info_nce(zg: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean InfoNCE loss over anchor groups zg of shape (groups, 2 + N, d),
-    laid out as [anchor, positive, neg_1..neg_N], and the softmax over each
-    group's logits (positive first)."""
+def _group_nce(zg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group InfoNCE losses of anchor groups zg of shape (groups, 2 + N,
+    d), laid out as [anchor, positive, neg_1..neg_N], and the softmax over
+    each group's logits (positive first), each group's from its rows alone."""
     za = zg[:, 0]
     zp = zg[:, 1]
     zn = zg[:, 2:]
@@ -236,8 +255,14 @@ def _info_nce(zg: np.ndarray) -> tuple[float, np.ndarray]:
     m = logits.max(axis=1, keepdims=True)
     exp = np.exp(logits - m)
     denom = exp.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(denom)[:, 0] + m[:, 0] - pos_logit))
-    return loss, exp / denom
+    return np.log(denom)[:, 0] + m[:, 0] - pos_logit, exp / denom
+
+
+def _info_nce(zg: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean InfoNCE loss over anchor groups zg, laid out as in `_group_nce`,
+    and the softmax over each group's logits."""
+    losses, probs = _group_nce(zg)
+    return float(np.mean(losses)), probs
 
 
 def _grad_step(
@@ -280,14 +305,20 @@ def _probe_loss(
     """Mean InfoNCE loss of the probe groups: every state is encoded once, in
     blocks, and the groups gather their rows from the embeddings, so the loss
     equals the one over the gathered inputs without repeating any state's
-    pass."""
+    pass. The groups are scored in `in_blocks` chunks of about ROW_BLOCK
+    gathered rows, each gathering only its own, and the loss is the mean of
+    their per-group losses, the vector `_info_nce` averages over one gather."""
     z = in_blocks(lambda x: _forward(params, x)[0], x_all)
-    return _info_nce(z[probe_rows])[0]
+    groups = max(2, ROW_BLOCK // probe_rows.shape[1])
+    return float(np.mean(in_blocks(lambda rows: _group_nce(z[rows])[0],
+                                   probe_rows, groups)))
 
 
 class Adam:
     """Adam with bias-corrected first and second moments; each step updates
-    the given arrays in place."""
+    the given arrays and the moments in place, by the IEEE operations, in
+    order, of `a -= lr * (m / bc1) / (sqrt(v / bc2) + eps)` after
+    `m = b1 m + (1 - b1) g` and `v = b2 v + (1 - b2) g**2`."""
 
     def __init__(self, arrays: list[np.ndarray], learning_rate: float) -> None:
         self.arrays = arrays
@@ -300,13 +331,20 @@ class Adam:
         self.steps += 1
         bc1 = 1.0 - ADAM_BETA1**self.steps
         bc2 = 1.0 - ADAM_BETA2**self.steps
-        for i, (a, g) in enumerate(zip(self.arrays, grads)):
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g**2
-            a -= (
-                self.learning_rate * (self.m[i] / bc1)
-                / (np.sqrt(self.v[i] / bc2) + ADAM_EPS)
-            )
+        for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            t = np.square(g)
+            t *= 1 - ADAM_BETA2
+            v += t
+            s = m / bc1
+            s *= self.learning_rate
+            d = np.divide(v, bc2, out=t)
+            np.sqrt(d, out=d)
+            d += ADAM_EPS
+            s /= d
+            a -= s
 
 
 @dataclass

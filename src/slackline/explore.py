@@ -108,12 +108,21 @@ class Dataset:
     config: TaskConfig
 
     def state_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every state's `EnvState.row()`, stacked in (episode, step) order,
-        with the episode index and the step index of each row."""
+        """Every state's `EnvState.row()` in (episode, step) order, with the
+        episode index and the step index of each row. The rows are copied
+        state by state into one (states, 2(M + B)) table shaped by the
+        header config, so no per-state row is made; with no episodes the
+        table has no rows."""
         lengths = [len(ep.states) for ep in self.episodes]
         episode = np.repeat(np.arange(len(lengths)), lengths)
         step = np.arange(len(episode)) - np.searchsorted(episode, episode)
-        rows = np.stack([s.row() for ep in self.episodes for s in ep.states])
+        m2 = 2 * self.config.keypoint_count
+        rows = np.empty((len(episode), m2 + 2 * self.config.obstacle_count))
+        q, o = rows[:, :m2], rows[:, m2:]
+        states = (s for ep in self.episodes for s in ep.states)
+        for i, state in enumerate(states):
+            q[i] = state.q.ravel()
+            o[i] = state.o.ravel()
         return rows, episode, step
 
     def achieved_goals(self) -> tuple[EnvState, ...]:
@@ -296,58 +305,63 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    """The dataset at `path`, read one line at a time, so the file's text is
+    never held whole. Each refusal names the file and, where one applies,
+    the line, counted from 1 at each newline."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MalformedDatasetError(f"{path}:1: empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as err:
-        raise MalformedDatasetError(f"{path}:1: {err}") from err
-    if not isinstance(header, dict) or "schema" not in header:
-        raise MalformedDatasetError(f"{path}:1: header missing 'schema'")
-    if header["schema"] != DATASET_SCHEMA:
-        raise DatasetVersionError(
-            f"{path}: schema {header['schema']!r} unsupported "
-            f"(expected {DATASET_SCHEMA!r})"
-        )
-    try:
-        config = _apply_fields(TaskConfig(), header["config"], "config")
-        goals = tuple(EnvState.from_obj(s) for s in header["goals"])
-        declared = int(header["episodes"])
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise MalformedDatasetError(f"{path}:1: bad header: {err}") from err
-    # every state must fit the header's task; a goal is a chain shape only
-    # (collect may draw goals from a pool built under other obstacles)
-    shapes = ((config.keypoint_count, 2), (config.obstacle_count, 2))
-    for i, goal in enumerate(goals):
-        if goal.q.shape != shapes[0]:
-            raise MalformedDatasetError(
-                f"{path}:1: goal shape q {goal.q.shape}; the header gives "
-                f"q {shapes[0]}"
-            )
-        if not np.isfinite(goal.row()).all():
-            raise MalformedDatasetError(f"{path}:1: goal {i} holds NaN or infinity")
-    episodes: list[Episode] = []
-    linenos: list[int] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+        first = fh.readline()
+        if not first:
+            raise MalformedDatasetError(f"{path}:1: empty dataset file")
         try:
-            episodes.append(Episode.from_obj(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                OverflowError) as err:
-            raise MalformedDatasetError(f"{path}:{lineno}: {err}") from err
-        linenos.append(lineno)
-        for state in episodes[-1].states:
-            if (state.q.shape, state.o.shape) != shapes:
+            header = json.loads(first.removesuffix("\n"))
+        except json.JSONDecodeError as err:
+            raise MalformedDatasetError(f"{path}:1: {err}") from err
+        if not isinstance(header, dict) or "schema" not in header:
+            raise MalformedDatasetError(f"{path}:1: header missing 'schema'")
+        if header["schema"] != DATASET_SCHEMA:
+            raise DatasetVersionError(
+                f"{path}: schema {header['schema']!r} unsupported "
+                f"(expected {DATASET_SCHEMA!r})"
+            )
+        try:
+            config = _apply_fields(TaskConfig(), header["config"], "config")
+            goals = tuple(EnvState.from_obj(s) for s in header["goals"])
+            declared = int(header["episodes"])
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise MalformedDatasetError(f"{path}:1: bad header: {err}") from err
+        # every state must fit the header's task; a goal is a chain shape only
+        # (collect may draw goals from a pool built under other obstacles)
+        shapes = ((config.keypoint_count, 2), (config.obstacle_count, 2))
+        for i, goal in enumerate(goals):
+            if goal.q.shape != shapes[0]:
                 raise MalformedDatasetError(
-                    f"{path}:{lineno}: state shapes q {state.q.shape}, "
-                    f"o {state.o.shape}; the header gives q {shapes[0]}, "
-                    f"o {shapes[1]}"
+                    f"{path}:1: goal shape q {goal.q.shape}; the header gives "
+                    f"q {shapes[0]}"
                 )
+            if not np.isfinite(goal.row()).all():
+                raise MalformedDatasetError(
+                    f"{path}:1: goal {i} holds NaN or infinity")
+        episodes: list[Episode] = []
+        linenos: list[int] = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.removesuffix("\n")
+            if not line.strip():
+                continue
+            try:
+                episodes.append(Episode.from_obj(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError) as err:
+                raise MalformedDatasetError(f"{path}:{lineno}: {err}") from err
+            linenos.append(lineno)
+            for state in episodes[-1].states:
+                if (state.q.shape, state.o.shape) != shapes:
+                    raise MalformedDatasetError(
+                        f"{path}:{lineno}: state shapes q {state.q.shape}, "
+                        f"o {state.o.shape}; the header gives q {shapes[0]}, "
+                        f"o {shapes[1]}"
+                    )
     if len(episodes) != declared:
         raise MalformedDatasetError(
             f"{path}: header declares {declared} episodes, found {len(episodes)} "

@@ -1,6 +1,12 @@
-"""Whole-table MLP passes run in row blocks (`encoder.in_blocks`): the probe
+"""Training and whole-table passes keep their bits and bound their memory.
+
+Whole-table MLP passes run in row blocks (`encoder.in_blocks`): the probe
 loss and the contrastive and autoencoder index embeddings keep every bit of
-one whole-table pass, and their memory does not grow with the table."""
+one whole-table pass, and their memory does not grow with the table. The
+layer, backprop and Adam steps write into arrays they own, and the probe
+scores its groups in chunks: each keeps every bit of the out-of-place
+expression it replaces, and the training step, the probe, the state table
+and the dataset load allocate no more than their own arrays need."""
 
 import os
 import subprocess
@@ -11,18 +17,26 @@ import numpy as np
 
 import slackline
 from slackline import encoder
-from slackline.config import TaskConfig
+from slackline.config import TaskConfig, TrainConfig
 from slackline.encoder import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    HIDDEN,
+    Adam,
     _forward,
+    _grad_step,
     _info_nce,
     _probe_loss,
     encode_batch,
     init_mlp,
     init_params,
+    mlp_backward,
+    mlp_forward,
     model_input,
     model_layout,
 )
-from slackline.explore import Dataset, Episode
+from slackline.explore import Dataset, Episode, load_dataset, save_dataset
 from slackline.planner import AutoencoderPlanner, build_index
 from slackline.seeding import make_rng
 from slackline.simulator import ActionPair, EnvState, PickPlace
@@ -71,27 +85,141 @@ def assert_blocks_match_whole_table() -> None:
     assert np.array_equal(planner.index.embeddings, planner.latents(rows))
 
 
+def reference_forward(params, x, acts):
+    """mlp_forward as the out-of-place expressions `h @ w + b` and
+    `np.maximum(h, 0.0)`."""
+    h = x
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w + b
+        if i != params.latent_layer - 1 and i != last:
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    return h
+
+
+def reference_backward(params, acts, delta):
+    """mlp_backward as out-of-place expressions, `acts` left whole."""
+    grad_w, grad_b = [], []
+    for layer in range(len(params.weights) - 1, -1, -1):
+        grad_w.insert(0, acts[layer].T @ delta)
+        grad_b.insert(0, delta.sum(axis=0))
+        if layer > 0:
+            delta = delta @ params.weights[layer].T
+            if layer != params.latent_layer:
+                delta = delta * (acts[layer] > 0.0)
+    return grad_w, grad_b
+
+
+def reference_adam(arrays, grads_per_step, lr):
+    """The arrays after Adam steps written as whole-array expressions that
+    rebind the moments."""
+    arrays = [a.copy() for a in arrays]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    for step, grads in enumerate(grads_per_step, start=1):
+        bc1 = 1.0 - ADAM_BETA1**step
+        bc2 = 1.0 - ADAM_BETA2**step
+        for i, (a, g) in enumerate(zip(arrays, grads)):
+            m[i] = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+            v[i] = ADAM_BETA2 * v[i] + (1 - ADAM_BETA2) * g**2
+            a -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + ADAM_EPS)
+    return arrays
+
+
+def assert_steps_match_out_of_place() -> None:
+    """mlp_forward and mlp_backward on the encoder and autoencoder layouts,
+    over a two-group, 66-row batch, and three Adam steps on random arrays."""
+    rng = make_rng(3)
+    for params in models(TaskConfig()):
+        x = rng.uniform(0.0, 1.0, size=(66, params.input_dim))
+        acts, want_acts = [x], [x]
+        y = mlp_forward(params, x, acts=acts)
+        want_y = reference_forward(params, x, want_acts)
+        assert np.array_equal(y, want_y)
+        assert all(np.array_equal(a, b) for a, b in zip(acts, want_acts))
+        delta = rng.standard_normal(y.shape)
+        got = mlp_backward(params, acts, delta)
+        assert acts == []  # consumed
+        want = reference_backward(params, want_acts, delta)
+        for got_grads, want_grads in zip(got, want):
+            assert all(np.array_equal(g, w) for g, w in zip(got_grads, want_grads))
+
+    arrays = [rng.standard_normal((40, HIDDEN)), rng.standard_normal(HIDDEN)]
+    grads = [[rng.standard_normal(a.shape) * 10.0**-k for a in arrays]
+             for k in range(3)]
+    want = reference_adam(arrays, grads, 5e-4)
+    optimizer = Adam(arrays, 5e-4)
+    moments = optimizer.m + optimizer.v
+    for step in grads:
+        optimizer.step(step)
+    assert all(np.array_equal(a, w) for a, w in zip(arrays, want))
+    assert all(a is b for a, b in zip(optimizer.m + optimizer.v, moments))
+
+
+def assert_probe_chunks_match_whole_gather() -> None:
+    """At ROW_BLOCK 4, 22 and 1024 (2, 3 and 31 groups of 33 rows per
+    chunk), group counts that make one chunk, several, and several with a
+    one-group remainder to fold."""
+    dataset = table_dataset(9)
+    enc, _ = models(dataset.config)
+    x = model_input(enc, dataset.state_table()[0])
+    z = _forward(enc, x)[0]
+    rows = make_rng(4).integers(len(x), size=(94, 2 + TrainConfig().negatives))
+    for block in (4, 22, 1024):
+        encoder.ROW_BLOCK = block
+        for groups in (1, 2, 3, 7, 63, 94):
+            probe_rows = rows[:groups]
+            assert _probe_loss(enc, x, probe_rows) == _info_nce(z[probe_rows])[0]
+
+
+def assert_small_blocks_match_whole_table() -> None:
+    for block in (4, 22):
+        encoder.ROW_BLOCK = block
+        assert_blocks_match_whole_table()
+
+
+CHECKS = {
+    "blocks": assert_small_blocks_match_whole_table,
+    "steps": assert_steps_match_out_of_place,
+    "probe": assert_probe_chunks_match_whole_gather,
+}
+
+
+def in_one_blas_thread(check: str) -> None:
+    """Tier-1 runs two OpenBLAS threads (the root conftest.py); the
+    benchmark and its fixtures run one, which rounds some products
+    differently, so a check runs again in a one-thread process."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slackline.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, here]))
+    code = f"import test_blocks as t\nt.CHECKS[{check!r}]()\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestBitIdentity:
     def test_blocks_match_whole_table(self, monkeypatch):
-        for block in (4, 22):
-            monkeypatch.setattr(encoder, "ROW_BLOCK", block)
-            assert_blocks_match_whole_table()
+        monkeypatch.setattr(encoder, "ROW_BLOCK", encoder.ROW_BLOCK)
+        assert_small_blocks_match_whole_table()
 
     def test_blocks_match_whole_table_with_one_blas_thread(self):
-        """Tier-1 runs two OpenBLAS threads (the root conftest.py); the
-        benchmark and its fixtures run one, which rounds some products
-        differently, so the check runs again in a one-thread process."""
-        here = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(slackline.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src, here]))
-        code = ("import slackline.encoder as e, test_blocks as t\n"
-                "for block in (4, 22):\n"
-                "    e.ROW_BLOCK = block\n"
-                "    t.assert_blocks_match_whole_table()\n")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        in_one_blas_thread("blocks")
+
+    def test_steps_match_out_of_place(self):
+        assert_steps_match_out_of_place()
+
+    def test_steps_match_out_of_place_with_one_blas_thread(self):
+        in_one_blas_thread("steps")
+
+    def test_probe_chunks_match_whole_gather(self, monkeypatch):
+        monkeypatch.setattr(encoder, "ROW_BLOCK", encoder.ROW_BLOCK)
+        assert_probe_chunks_match_whole_gather()
+
+    def test_probe_chunks_match_whole_gather_with_one_blas_thread(self):
+        in_one_blas_thread("probe")
 
 
 def traced_excess(call, table_bytes: int) -> int:
@@ -113,11 +241,9 @@ class TestMemory:
     def index_excess(self, dataset, enc) -> int:
         rows, episode, step = dataset.state_table()
         embed_bytes = len(rows) * enc.embed_dim * 8
-        # the larger of the state table's own peak while it is stacked, and
         # the rows, the (episode, step) columns and the embeddings with the
         # blocks they are concatenated from
-        table = max(traced_excess(dataset.state_table, 0),
-                    rows.nbytes + episode.nbytes + step.nbytes + 2 * embed_bytes)
+        table = rows.nbytes + episode.nbytes + step.nbytes + 2 * embed_bytes
         return traced_excess(lambda: build_index(dataset, enc), table)
 
     def probe_excess(self, dataset, enc) -> int:
@@ -135,3 +261,53 @@ class TestMemory:
         for excess in (self.index_excess, self.probe_excess):
             at_1x, at_8x = excess(small, enc), excess(large, enc)
             assert at_8x < 1.25 * at_1x + 16384, (excess.__name__, at_1x, at_8x)
+
+    def test_grad_step_holds_the_activations_and_one_delta(self):
+        """A 64-anchor batch at the shipped sizes: backprop frees each
+        layer's activations as it uses them, so beside its gradients the
+        step needs the three layer outputs, one 256-wide delta and slack."""
+        dataset = table_dataset(40)
+        enc, _ = models(dataset.config)
+        x_all = model_input(enc, dataset.state_table()[0])
+        groups, negatives = 64, TrainConfig().negatives
+        x = x_all[make_rng(5).integers(len(x_all), size=groups * (2 + negatives))]
+        grads = 8 * sum(w.size + b.size for w, b in zip(enc.weights, enc.biases))
+        acts = len(x) * (HIDDEN + HIDDEN + enc.embed_dim) * 8
+        delta = len(x) * HIDDEN * 8
+        excess = traced_excess(lambda: _grad_step(enc, x, groups, negatives), grads)
+        assert excess <= acts + delta + 65536, (excess, acts, delta)
+
+    def test_probe_does_not_grow_with_its_groups(self):
+        """The probe gathers its groups' rows a chunk at a time, so 8x the
+        groups at a fixed table add only their per-group losses."""
+        dataset = table_dataset(40)
+        enc, _ = models(dataset.config)
+        x = model_input(enc, dataset.state_table()[0])
+        width = 2 + TrainConfig().negatives
+        few, many = (make_rng(2).integers(len(x), size=(g, width)) for g in (64, 512))
+        at_1x = traced_excess(lambda: _probe_loss(enc, x, few), 0)
+        at_8x = traced_excess(lambda: _probe_loss(enc, x, many), 0)
+        assert at_8x <= at_1x + 16384, (at_1x, at_8x)
+
+    def test_state_table_holds_only_its_result(self):
+        """2000 states: the rows are copied into the result state by state,
+        with no per-state row on the way."""
+        dataset = table_dataset(400)
+        result = sum(a.nbytes for a in dataset.state_table())
+        excess = traced_excess(dataset.state_table, result)
+        assert excess <= 32768, (excess, result)
+
+    def test_load_dataset_does_not_hold_the_file_text(self, tmp_path):
+        """Beyond the dataset it returns, a load's transient memory stays
+        below the size of the file it reads."""
+        path = str(tmp_path / "ds.jsonl")
+        save_dataset(table_dataset(200), path)
+        tracemalloc.start()
+        try:
+            dataset = load_dataset(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dataset.episodes) == 200
+        size = os.path.getsize(path)
+        assert peak - retained < size, (peak - retained, size)

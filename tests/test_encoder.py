@@ -14,8 +14,11 @@ from slackline.encoder import (
     encode,
     encode_batch,
     info_nce_loss,
+    init_mlp,
     init_params,
     load_params,
+    mlp_backward,
+    mlp_forward,
     model_input,
     numerical_gradient,
     params_digest,
@@ -200,6 +203,38 @@ class TestGradients:
             rel = abs(g_ana - g_num) / max(abs(g_ana), abs(g_num), 1e-10)
             worst = max(worst, rel)
         assert worst <= 1e-4
+
+    def test_autoencoder_matches_central_differences(self):
+        """The reconstruction loss at the shipped mirrored layout with
+        narrow widths, every weight and bias of every layer: the latent
+        layer is the one inner layer that mlp_backward leaves unrectified."""
+        sizes = (10, 8, 8, 4, 8, 8, 10)
+        params = init_mlp(sizes, 3, (1.0, 0.6), seed=5, salt=1)
+        x = np.random.default_rng(12).uniform(0.0, 1.0, size=(6, 10))
+
+        def step():
+            acts = [x]
+            diff = mlp_forward(params, x, acts=acts) - x
+            grads = mlp_backward(params, acts, 2.0 * diff / diff.size)
+            return float(np.mean(diff * diff)), grads
+
+        _, (gw, gb) = step()
+        h = 1e-5
+        for layer in range(len(sizes) - 1):
+            for target, grad in ((params.weights[layer], gw[layer]),
+                                 (params.biases[layer], gb[layer])):
+                assert np.abs(grad).max() > 1e-4, (layer, grad.shape)
+                for idx in np.ndindex(target.shape):
+                    orig = target[idx]
+                    target[idx] = orig + h
+                    lp = step()[0]
+                    target[idx] = orig - h
+                    lm = step()[0]
+                    target[idx] = orig
+                    g_num = (lp - lm) / (2.0 * h)
+                    err = abs(grad[idx] - g_num)
+                    assert err <= 1e-4 * max(abs(grad[idx]), abs(g_num)) + 1e-9, (
+                        layer, grad.shape, idx, grad[idx], g_num)
 
 
 def scalar_group_rows(rng, anchors, ep_ids, ep_ranges, negatives):

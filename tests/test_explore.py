@@ -115,6 +115,13 @@ class TestStateTable:
                                                            state.o.ravel()]))
             assert (episode[i], step[i]) == (j, t)
 
+    def test_no_episodes_give_an_empty_table_of_the_header_width(self):
+        task = TaskConfig(keypoint_count=5, obstacle_count=3)
+        rows, episode, step = Dataset((), (), task).state_table()
+        assert rows.shape == (0, 2 * (5 + 3))
+        assert rows.dtype == np.float64
+        assert episode.shape == step.shape == (0,)
+
 
 class TestPersistence:
     def test_roundtrip_identity(self, tmp_path, small_dataset):
