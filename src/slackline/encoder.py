@@ -455,6 +455,7 @@ def train(
     # per-episode flat index ranges for positive sampling
     starts = np.flatnonzero(steps == 0).tolist()
     ep_ranges = list(zip(starts, starts[1:] + [n]))
+    del rows, steps  # training reads x_all, ep_ids and ep_ranges only
 
     # fixed probe pairs: per-epoch loss is evaluated on these, so the curve
     # reflects the parameters rather than the minibatch sampling path

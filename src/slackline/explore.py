@@ -17,7 +17,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -93,8 +93,13 @@ class Episode:
 
     @staticmethod
     def from_obj(obj: dict) -> "Episode":
+        """The episode `obj` holds; its states whose obstacles equal the
+        first state's share that state's one `o`."""
+        states: list[EnvState] = []
+        for s in obj["states"]:
+            states.append(EnvState.from_obj(s, states[0] if states else None))
         return Episode(
-            tuple(EnvState.from_obj(s) for s in obj["states"]),
+            tuple(states),
             tuple(ActionPair.from_obj(a) for a in obj["actions"]),
             int(obj["seed"]),
             float(obj["lambda"]),
@@ -344,7 +349,6 @@ def load_dataset(path: str) -> Dataset:
                 raise MalformedDatasetError(
                     f"{path}:1: goal {i} holds NaN or infinity")
         episodes: list[Episode] = []
-        linenos: list[int] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.removesuffix("\n")
             if not line.strip():
@@ -354,7 +358,6 @@ def load_dataset(path: str) -> Dataset:
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     OverflowError) as err:
                 raise MalformedDatasetError(f"{path}:{lineno}: {err}") from err
-            linenos.append(lineno)
             for state in episodes[-1].states:
                 if (state.q.shape, state.o.shape) != shapes:
                     raise MalformedDatasetError(
@@ -362,29 +365,27 @@ def load_dataset(path: str) -> Dataset:
                         f"o {state.o.shape}; the header gives q {shapes[0]}, "
                         f"o {shapes[1]}"
                     )
+            if not _finite(episodes[-1]):
+                raise MalformedDatasetError(
+                    f"{path}:{lineno}: a state, action or lambda holds NaN or "
+                    f"infinity"
+                )
     if len(episodes) != declared:
         raise MalformedDatasetError(
             f"{path}: header declares {declared} episodes, found {len(episodes)} "
             f"(truncated file?)"
         )
-    if episodes and not _all_finite(episodes):
-        j = next(j for j, ep in enumerate(episodes) if not _all_finite([ep]))
-        raise MalformedDatasetError(
-            f"{path}:{linenos[j]}: a state, action or lambda holds NaN or infinity"
-        )
     return Dataset(tuple(episodes), goals, config)
 
 
-def _all_finite(episodes: Sequence[Episode]) -> bool:
-    """Whether every state coordinate, drag coordinate and lambda of the
-    (one or more) `episodes` is finite: one vectorised test per kind, none
-    per number."""
-    points = [xy for ep in episodes for s in ep.states for xy in (s.q, s.o)]
-    drags = [d.pick + d.place for ep in episodes for a in ep.actions
-             for d in a.sequences()]
+def _finite(episode: Episode) -> bool:
+    """Whether every state coordinate, drag coordinate and the lambda of
+    `episode` is finite: one vectorised test per kind, none per number."""
+    points = [xy for s in episode.states for xy in (s.q, s.o)]
+    drags = [d.pick + d.place for a in episode.actions for d in a.sequences()]
     return bool(np.isfinite(np.concatenate(points)).all()
                 and np.isfinite(drags).all()
-                and np.isfinite([ep.dlo_length for ep in episodes]).all())
+                and math.isfinite(episode.dlo_length))
 
 
 def replay_episode(episode: Episode, config: TaskConfig) -> list[EnvState]:

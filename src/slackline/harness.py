@@ -200,7 +200,8 @@ def summarize(
 # environment with every cell on it, so the workers stay busy to near the end.
 # The cells of one task share one transition table (see `run_episode`): they
 # start from one state under one config and often make the same first drags.
-# The table lives for one task only.
+# The table lives for one task only. The environment is rounded once, so
+# every state of the task's episodes holds its one obstacle array.
 
 _CTX: dict = {}
 
@@ -208,7 +209,7 @@ _CTX: dict = {}
 def _episode_task(seeds: tuple[int, int]) -> list[EpisodeResult]:
     env_seed, episode_seed = seeds
     config = _CTX["config"]
-    env = generate_env(config, env_seed)
+    env = generate_env(config, env_seed).quantized()
     transitions: dict = {}
     out = []
     for planner, controller in zip(_CTX["planners"], _CTX["controllers"]):

@@ -28,6 +28,9 @@ workspace.
 
 Everything here is a pure function of (state, action, config) or of
 (config, seed); there is no hidden state and no wall-clock dependence.
+
+States, drags and actions are slotted frozen values, and the states of one
+environment share one read-only obstacle array (see `EnvState`).
 """
 
 from __future__ import annotations
@@ -72,24 +75,36 @@ def quantize_all(values: list[float]) -> list[float]:
     return [float(v) for v in (("%.9g " * len(values)) % tuple(values)).split()]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EnvState:
     """M ordered keypoints plus B obstacle centers; q[0] corresponds to
-    arm 1 and q[-1] to arm 2."""
+    arm 1 and q[-1] to arm 2.
+
+    Both arrays are read-only. An `o` given as a (B, 2) float64 array is
+    kept as it is, and the executor never moves obstacles, so the states of
+    one environment hold one obstacle array. Pickling goes through the
+    constructor: an unpickled state is read-only too, and pickle's memo
+    keeps the shared `o`."""
 
     q: np.ndarray
     o: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=np.float64)
-        o = np.asarray(self.o, dtype=np.float64)
+        # not asarray(x, dtype=float64): it views an unpickled array, whose
+        # dtype is an equal copy of float64
+        q = np.asarray(self.q).astype(np.float64, copy=False)
+        o = np.asarray(self.o).astype(np.float64, copy=False)
         if q.ndim != 2 or q.shape[1] != 2 or q.shape[0] < 3:
             raise ValueError(f"keypoints must be (M>=3, 2), got {q.shape}")
-        o = o.reshape(-1, 2) if o.size else o.reshape(0, 2)
+        if o.ndim != 2 or o.shape[1] != 2:
+            o = o.reshape(-1, 2) if o.size else o.reshape(0, 2)
         q.setflags(write=False)
         o.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "o", o)
+
+    def __reduce__(self) -> tuple:
+        return EnvState, (self.q, self.o)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EnvState):
@@ -118,10 +133,11 @@ class EnvState:
         return [config.obstacle((float(x), float(y))) for x, y in self.o]
 
     def quantized(self) -> "EnvState":
-        """Copy rounded to the 9-significant-digit file precision."""
+        """Copy rounded to the 9-significant-digit file precision; it keeps
+        this state's `o` where rounding leaves its bits unchanged."""
         q = np.array(quantize_all(self.q.ravel().tolist())).reshape(-1, 2)
         o = np.array(quantize_all(self.o.ravel().tolist())).reshape(-1, 2)
-        return EnvState(q, o)
+        return EnvState(q, self.o if o.tobytes() == self.o.tobytes() else o)
 
     def to_obj(self) -> dict:
         q = quantize_all(self.q.ravel().tolist())
@@ -132,14 +148,18 @@ class EnvState:
         }
 
     @staticmethod
-    def from_obj(obj: dict) -> "EnvState":
+    def from_obj(obj: dict, like: "EnvState | None" = None) -> "EnvState":
+        """The state `obj` holds; it takes `like`'s `o` where its obstacles
+        equal those bit for bit."""
         if not isinstance(obj, dict) or "q" not in obj or "o" not in obj:
             raise ValueError("state object must carry 'q' and 'o'")
-        return EnvState(np.asarray(obj["q"], dtype=np.float64),
-                        np.asarray(obj["o"], dtype=np.float64).reshape(-1, 2))
+        o = np.asarray(obj["o"], dtype=np.float64).reshape(-1, 2)
+        if like is not None and o.tobytes() == like.o.tobytes():
+            o = like.o
+        return EnvState(np.asarray(obj["q"], dtype=np.float64), o)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PickPlace:
     """One arm's straight drag of one keypoint."""
 
@@ -175,7 +195,7 @@ class PickPlace:
                          (obj["place"][0], obj["place"][1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionPair:
     """Bimanual action: a leader drag and an optional follower drag."""
 

@@ -124,6 +124,16 @@ class TestStateTable:
 
 
 class TestPersistence:
+    def test_episode_states_share_one_obstacle_array(self, tmp_path, small_dataset):
+        """Collected and loaded alike, every state of an episode holds its
+        first state's read-only `o`."""
+        path = tmp_path / "ds.jsonl"
+        save_dataset(small_dataset, str(path))
+        for dataset in (small_dataset, load_dataset(str(path))):
+            for ep in dataset.episodes:
+                assert all(s.o is ep.states[0].o for s in ep.states)
+                assert not ep.states[0].o.flags.writeable
+
     def test_roundtrip_identity(self, tmp_path, small_dataset):
         path = tmp_path / "ds.jsonl"
         save_dataset(small_dataset, str(path))

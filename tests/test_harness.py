@@ -100,6 +100,24 @@ class TestEvaluate:
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
 
+    def test_episode_states_share_one_obstacle_array(self, task_config, artifacts):
+        """At workers 1 and 2, the states of one environment's episodes
+        hold one read-only `o`, and pooled states equal in-process ones."""
+        cells = [("contrastive", "leader-follower"), ("random", "random-control")]
+        runs = []
+        for workers in (1, 2):
+            _, per_cell = evaluate(cells, 3, task_config, 23, artifacts,
+                                   workers=workers)
+            for results in zip(*per_cell):
+                shared = results[0].states[0].o
+                for r in results:
+                    assert all(s.o is shared for s in r.states)
+                    for state in r.states + r.subgoals:
+                        assert not state.q.flags.writeable
+                        assert not state.o.flags.writeable
+            runs.append([[(r.states, r.subgoals) for r in rs] for rs in per_cell])
+        assert runs[1] == runs[0]
+
     def test_csv_header_pinned(self, small_table):
         table, _ = small_table
         assert table.csv().splitlines()[0] == (

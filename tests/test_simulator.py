@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -548,3 +549,58 @@ class TestSerialization:
         pp = PickPlace(2, 5, (0.123456789, 0.3), (0.2, 0.4))
         pair = ActionPair(pp, None)
         assert ActionPair.from_obj(pair.to_obj()) == pair
+
+
+class TestSharedObstacles:
+    """States, drags and actions are slotted values; the states of one
+    environment hold one read-only obstacle array, through pickle too."""
+
+    def executed(self, task_config, drags=4):
+        state = generate_env(task_config, 3).quantized()
+        states = [state]
+        rng = make_rng(5)
+        for _ in range(drags):
+            action = _arbitrary_action(states[-1], task_config, rng)
+            states.append(execute(states[-1], action, task_config).quantized())
+        return states
+
+    def test_value_types_have_no_dict(self, task_config):
+        drag = PickPlace(1, 0, (0.1, 0.2), (0.1, 0.25))
+        for value in (generate_env(task_config, 3), drag, ActionPair(drag, drag)):
+            assert not hasattr(value, "__dict__"), type(value)
+
+    def test_a_given_obstacle_array_is_kept_read_only(self):
+        q = straight_chain().q
+        o = np.array([[0.2, 0.3], [0.5, 0.1]])
+        state = EnvState(q, o)
+        assert state.o is o and not o.flags.writeable
+        assert EnvState(q, o.ravel()).o.shape == (2, 2)
+        assert EnvState(q, []).o.shape == (0, 2)
+
+    def test_execute_and_quantized_keep_the_obstacle_array(self, task_config):
+        raw = generate_env(task_config, 3)
+        first = raw.quantized()
+        assert first.o.tobytes() != raw.o.tobytes()  # rounding moved it
+        assert first.o is not raw.o
+        states = self.executed(task_config)
+        assert all(s.o is states[0].o for s in states)
+        assert states[0].quantized().o is states[0].o
+
+    def test_from_obj_takes_like_only_for_equal_bits(self):
+        like = EnvState(straight_chain().q, np.array([[0.0, 0.3]]))
+        obj = like.to_obj()
+        assert EnvState.from_obj(obj, like).o is like.o
+        assert EnvState.from_obj(obj).o is not like.o
+        obj["o"] = [[-0.0, 0.3]]  # equal as numbers, other bits
+        again = EnvState.from_obj(obj, like)
+        assert again.o is not like.o
+        assert again.o.tobytes() == np.array([[-0.0, 0.3]]).tobytes()
+
+    def test_pickle_goes_through_the_constructor(self, task_config):
+        states = self.executed(task_config)
+        again = pickle.loads(pickle.dumps(states))
+        assert again == states
+        for state in again:
+            assert not state.q.flags.writeable
+            assert not state.o.flags.writeable
+            assert state.o is again[0].o
