@@ -93,13 +93,9 @@ class Episode:
 
     @staticmethod
     def from_obj(obj: dict) -> "Episode":
-        """The episode `obj` holds; its states whose obstacles equal the
-        first state's share that state's one `o`."""
-        states: list[EnvState] = []
-        for s in obj["states"]:
-            states.append(EnvState.from_obj(s, states[0] if states else None))
+        """The episode `obj` holds, its states read by `EnvState.list_from_obj`."""
         return Episode(
-            tuple(states),
+            tuple(EnvState.list_from_obj(obj["states"])),
             tuple(ActionPair.from_obj(a) for a in obj["actions"]),
             int(obj["seed"]),
             float(obj["lambda"]),

@@ -153,18 +153,13 @@ class MetricsTable:
         return "\n".join(lines) + "\n"
 
     def csv_full(self) -> str:
-        lines = [
-            CSV_HEADER
-            + ",mean_actions_success_only,std_actions_success_only"
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.cell},{r.planner},{r.controller},{r.episodes},"
-                f"{r.success_rate:.4f},{r.mean_actions:.4f},{r.std_actions:.4f},"
-                f"{r.mean_actions_success_only:.4f},"
-                f"{r.std_actions_success_only:.4f}"
-            )
-        return "\n".join(lines) + "\n"
+        """`csv()` with the success-only mean and std of actions appended."""
+        header, *lines = self.csv().splitlines()
+        lines = [f"{line},{r.mean_actions_success_only:.4f},"
+                 f"{r.std_actions_success_only:.4f}"
+                 for line, r in zip(lines, self.rows)]
+        header += ",mean_actions_success_only,std_actions_success_only"
+        return "\n".join([header, *lines]) + "\n"
 
 
 def summarize(

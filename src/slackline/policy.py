@@ -71,9 +71,9 @@ class EpisodeResult:
         return EpisodeResult(
             bool(obj["success"]),
             int(obj["steps"]),
-            [EnvState.from_obj(s) for s in obj["states"]],
+            EnvState.list_from_obj(obj["states"]),
             [ActionPair.from_obj(a) for a in obj["actions"]],
-            [EnvState.from_obj(s) for s in obj["subgoals"]],
+            EnvState.list_from_obj(obj["subgoals"]),
             [tuple(i) if i is not None else None for i in obj["subgoal_ids"]],
             list(obj["roles"]),
             int(obj["seed"]),

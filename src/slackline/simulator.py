@@ -134,9 +134,11 @@ class EnvState:
 
     def quantized(self) -> "EnvState":
         """Copy rounded to the 9-significant-digit file precision; it keeps
-        this state's `o` where rounding leaves its bits unchanged."""
-        q = np.array(quantize_all(self.q.ravel().tolist())).reshape(-1, 2)
-        o = np.array(quantize_all(self.o.ravel().tolist())).reshape(-1, 2)
+        this state's `o` where rounding leaves its bits unchanged. Its arrays
+        own their data, with no second ndarray object as a base."""
+        q = np.array(quantize_all(self.q.ravel().tolist()))
+        o = np.array(quantize_all(self.o.ravel().tolist()))
+        q.shape, o.shape = self.q.shape, self.o.shape
         return EnvState(q, self.o if o.tobytes() == self.o.tobytes() else o)
 
     def to_obj(self) -> dict:
@@ -153,10 +155,17 @@ class EnvState:
         equal those bit for bit."""
         if not isinstance(obj, dict) or "q" not in obj or "o" not in obj:
             raise ValueError("state object must carry 'q' and 'o'")
-        o = np.asarray(obj["o"], dtype=np.float64).reshape(-1, 2)
+        o = np.asarray(obj["o"], dtype=np.float64)
         if like is not None and o.tobytes() == like.o.tobytes():
             o = like.o
         return EnvState(np.asarray(obj["q"], dtype=np.float64), o)
+
+    @staticmethod
+    def list_from_obj(objs: list) -> list["EnvState"]:
+        """The states `objs` holds; those whose obstacles equal the first
+        state's bit for bit share that state's one `o`."""
+        first = [EnvState.from_obj(s) for s in objs[:1]]
+        return first + [EnvState.from_obj(s, first[0]) for s in objs[1:]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -427,7 +436,7 @@ def _drag(
 # exceeds _CULL_ALLOWANCE (triangle inequality), so the pass tests it against
 # the near obstacles only. Any positive allowance is exact; 1 cm, about six
 # pin increments at the default max step, was fastest in a sweep of 2 mm to
-# 5 cm (scripts/bench_executor.py). On the executes of three perfbench eval
+# 5 cm (scripts/bench_layers.py). On the executes of three perfbench eval
 # rounds a pass's near list holds 0.64 of the 4 discs on average; measuring
 # a near disc again at every pass would make that 0.54, but costs more than
 # the tests it saves (see `_cull`). The slack keeps a skipped test at least

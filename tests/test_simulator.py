@@ -12,6 +12,7 @@ from slackline.controller import make_pickplace
 from slackline.explore import _arbitrary_action
 from slackline.geometry import Point, waypoint_valid
 from slackline.harness import sweep_config
+from slackline.policy import EpisodeResult
 from slackline.seeding import make_rng
 from slackline.simulator import (
     ActionPair,
@@ -604,3 +605,27 @@ class TestSharedObstacles:
             assert not state.q.flags.writeable
             assert not state.o.flags.writeable
             assert state.o is again[0].o
+
+    def test_arrays_own_their_data(self, task_config):
+        """A reshaped array is a view over a 1-D base: two ndarray objects
+        where one holds the values."""
+        states = self.executed(task_config)
+        action = _arbitrary_action(states[-1], task_config, make_rng(6))
+        read = EnvState.list_from_obj([s.to_obj() for s in states])
+        unpickled = pickle.loads(pickle.dumps(states))
+        for state in (execute(states[-1], action, task_config), *states, *read,
+                      *unpickled):
+            assert state.q.base is None and state.o.base is None
+
+    def test_results_read_back_share_one_obstacle_array(self, task_config):
+        states = self.executed(task_config)
+        steps = len(states) - 1
+        result = EpisodeResult(
+            True, steps, states, [], [states[-1]] * steps, [None] * steps,
+            [{}] * steps, 0)
+        obj = json.loads(json.dumps(result.to_obj()))
+        again = EpisodeResult.from_obj(obj)
+        assert again.to_obj() == result.to_obj()
+        assert again.states == states
+        assert all(s.o is again.states[0].o for s in again.states)
+        assert all(s.o is again.subgoals[0].o for s in again.subgoals)
