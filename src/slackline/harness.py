@@ -35,7 +35,8 @@ from .seeding import derive_seed
 from .simulator import EnvState, generate_env
 
 PLANNER_NAMES = ("contrastive", "fixed", "random", "template", "autoencoder")
-CONTROLLER_NAMES = ("leader-follower", "only-leader", "random-control")
+_CONTROLLERS = {cls.name: cls for cls in (LeaderFollower, OnlyLeader, RandomControl)}
+CONTROLLER_NAMES = tuple(_CONTROLLERS)
 
 FULL_MATRIX = (
     ("fixed", "leader-follower"),
@@ -105,15 +106,11 @@ def _retrieval_planner(name: str, artifacts: EvalArtifacts):
 
 
 def make_controller(name: str, config: TaskConfig):
-    if name == "leader-follower":
-        return LeaderFollower(config)
-    if name == "only-leader":
-        return OnlyLeader(config)
-    if name == "random-control":
-        return RandomControl(config)
-    raise UnknownCellError(
-        f"unknown controller {name!r}; valid: {', '.join(CONTROLLER_NAMES)}"
-    )
+    if name not in _CONTROLLERS:
+        raise UnknownCellError(
+            f"unknown controller {name!r}; valid: {', '.join(CONTROLLER_NAMES)}"
+        )
+    return _CONTROLLERS[name](config)
 
 
 @dataclass

@@ -12,7 +12,14 @@ import numpy as np
 
 from .config import TaskConfig
 from .seeding import make_rng
-from .simulator import ActionPair, EnvState, PickPlace, execute, goal_reached
+from .simulator import (
+    ActionPair,
+    EnvState,
+    PickPlace,
+    check_pair,
+    execute,
+    goal_reached,
+)
 
 
 class Planner(Protocol):
@@ -92,7 +99,8 @@ def run_episode(
     """One closed-loop episode from `env`, replanning the subgoal each step.
 
     Each step executes the controller's leader drag, then asks the controller
-    for a follower drag on the state the leader left and executes that. A
+    for a follower drag on the state the leader left and executes that; the
+    two drags are held to `execute`'s pair rules (`check_pair`). A
     controller returning no leader ends the episode as a "no-action" failure:
     every shipped controller returns none only when no feasible
     correspondence drag exists, so no other drag could act there either.
@@ -139,6 +147,7 @@ def run_episode(
         state = step(state, leader)
         follower = controller.follow(state, subgoal, leader, rng)
         if follower is not None:
+            check_pair(leader, follower, config)
             state = step(state, follower)
         states.append(state)
         actions.append(ActionPair(leader, follower))

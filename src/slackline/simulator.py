@@ -282,70 +282,33 @@ def execute_with_stats(
     """
     follower = action.follower
     if follower is not None:
-        if follower.arm_id == action.leader.arm_id:
-            raise InfeasibleActionError("leader and follower must use different arms")
-        sep = math.hypot(
-            action.leader.pick[0] - follower.pick[0],
-            action.leader.pick[1] - follower.pick[1],
-        )
-        if sep <= config.min_pick_separation:
-            raise InfeasibleActionError(
-                f"pick separation {sep:.6f} not above {config.min_pick_separation}"
-            )
+        check_pair(action.leader, follower, config)
     stats = ExecStats()
-    new_state = _execute_drag(state, action.leader, config, stats)
+    new_state = _drag(state, action.leader, config, stats)
     if follower is not None:
-        new_state = _execute_drag(new_state.quantized(), follower, config, stats)
+        new_state = _drag(new_state.quantized(), follower, config, stats)
     return new_state, stats
 
 
-def _execute_drag(
-    state: EnvState, pp: PickPlace, config: TaskConfig, stats: ExecStats
-) -> EnvState:
-    """Check one drag against the state it starts from, then run it."""
-    m = state.keypoint_count
-    if not 0 <= pp.pick_index < m:
-        raise InfeasibleActionError(f"pick index {pp.pick_index} outside 0..{m - 1}")
-    kx, ky = state.q[pp.pick_index]
-    if math.hypot(pp.pick[0] - kx, pp.pick[1] - ky) > 1e-9:
-        raise InfeasibleActionError(
-            f"pick {pp.pick} does not match keypoint {pp.pick_index}"
-        )
-    if pp.displacement() > config.max_step + DISPLACEMENT_TOL:
-        raise InfeasibleActionError(
-            f"displacement {pp.displacement():.6f} exceeds max step "
-            f"{config.max_step}"
-        )
-    obstacles = state.o.tolist()
-    if not sequence_feasible_xy(
-        *pp.pick, *pp.place, *config.arm_bases[pp.arm_id - 1],
-        config.reach_min, config.reach_max, obstacles,
-        config.obstacle_clearance,
-    ):
-        raise InfeasibleActionError(
-            f"swept segment {pp.pick}->{pp.place} infeasible for arm {pp.arm_id}"
-        )
-    xs = state.q[:, 0].tolist()
-    ys = state.q[:, 1].tolist()
-    _drag(
-        xs, ys, pp.pick_index, pp.place[0], pp.place[1], state.link_length(),
-        config, [tuple(c) for c in obstacles], stats,
+def check_pair(leader: PickPlace, follower: PickPlace, config: TaskConfig) -> None:
+    """Raise InfeasibleActionError unless the two drags of one action use
+    different arms and pick more than the separation threshold apart."""
+    if follower.arm_id == leader.arm_id:
+        raise InfeasibleActionError("leader and follower must use different arms")
+    sep = math.hypot(
+        leader.pick[0] - follower.pick[0], leader.pick[1] - follower.pick[1]
     )
-    return EnvState(np.column_stack([xs, ys]), state.o)
+    if sep <= config.min_pick_separation:
+        raise InfeasibleActionError(
+            f"pick separation {sep:.6f} not above {config.min_pick_separation}"
+        )
 
 
 def _drag(
-    xs: list[float],
-    ys: list[float],
-    pin: int,
-    tx: float,
-    ty: float,
-    link_len: float,
-    config: TaskConfig,
-    obstacles: list[tuple[float, float]],
-    stats: ExecStats,
-) -> None:
-    """Drag the keypoint at `pin` from its current position to (tx, ty).
+    state: EnvState, pp: PickPlace, config: TaskConfig, stats: ExecStats
+) -> EnvState:
+    """Check one drag against the state it starts from, then drag its
+    keypoint, the pin, from where it lies to the drag's place.
 
     Each substep moves the pin one increment and re-projects the chain with
     the constrained follow-the-leader pass, which restores link lengths while
@@ -360,18 +323,42 @@ def _drag(
     the clearance of every keypoint but the pin and of every link midpoint
     (the pass neither moves nor tests the pin). `spent` is one running
     charge, the sum of the pin's increments and each pass's displacement
-    bound, so a charge costs one addition whatever the obstacle count. A
-    level is measured, the pin included, at the start and again by `_cull`.
-    `_cull` works out the obstacles whose budget is within _CULL_ALLOWANCE
-    and the next-event charge, at which that set or a level next changes;
-    until `spent` reaches it, a pass looks at no budget. Each pass skips the
-    disc tests of the other obstacles while a point moves less than the
-    allowance (see `_constrained_pass`).
+    bound, so a charge costs one addition whatever the obstacle count.
+    `_cull` measures a level, the pin included, once its budget is used up
+    (every level before the first pass). It works out the obstacles whose
+    budget is within _CULL_ALLOWANCE and the next-event charge, at which
+    that set or a level next changes; until `spent` reaches it, a pass looks
+    at no budget. Each pass skips the disc tests of the other obstacles
+    while a point moves less than the allowance (see `_constrained_pass`).
     """
+    m = state.keypoint_count
+    pin = pp.pick_index
+    if not 0 <= pin < m:
+        raise InfeasibleActionError(f"pick index {pin} outside 0..{m - 1}")
+    xs = state.q[:, 0].tolist()
+    ys = state.q[:, 1].tolist()
     x0 = xs[pin]
     y0 = ys[pin]
+    if math.hypot(pp.pick[0] - x0, pp.pick[1] - y0) > 1e-9:
+        raise InfeasibleActionError(f"pick {pp.pick} does not match keypoint {pin}")
+    if pp.displacement() > config.max_step + DISPLACEMENT_TOL:
+        raise InfeasibleActionError(
+            f"displacement {pp.displacement():.6f} exceeds max step "
+            f"{config.max_step}"
+        )
+    obstacles = [tuple(c) for c in state.o.tolist()]
+    if not sequence_feasible_xy(
+        *pp.pick, *pp.place, *config.arm_bases[pp.arm_id - 1],
+        config.reach_min, config.reach_max, obstacles,
+        config.obstacle_clearance,
+    ):
+        raise InfeasibleActionError(
+            f"swept segment {pp.pick}->{pp.place} infeasible for arm {pp.arm_id}"
+        )
+    tx, ty = pp.place
     if tx == x0 and ty == y0:
-        return
+        return state
+    link_len = state.link_length()
     mu = config.obstacle_radius
     width = config.workspace_width
     height = config.workspace_height
@@ -379,56 +366,54 @@ def _drag(
     sin_lim = math.sin(config.joint_limit)
     dot_lim = cos_lim * link_len * link_len
 
-    levels = [_obstacle_margin(xs, ys, c, mu) for c in obstacles]
+    # every level starts used up, so the first cull measures every obstacle
+    levels = [-math.inf] * len(obstacles)
     spent = 0.0
     near, event = _cull(xs, ys, obstacles, mu, levels, spent)
+    wall_clamps = conflict_count = cone_clamps = 0
 
-    # one culled pass; returns its displacement bound and conflict count
-    def project() -> tuple[float, int]:
-        nonlocal spent, near, event
-        if spent >= event:
-            near, event = _cull(xs, ys, obstacles, mu, levels, spent)
-        max_move, conflicts, cone = _constrained_pass(
-            xs, ys, pin, link_len, cos_lim, sin_lim, dot_lim,
-            width, height, obstacles, mu, near,
-        )
-        stats.joint_clamps += cone
-        stats.placement_conflicts += conflicts
-        spent += max_move
-        return max_move, conflicts
-
+    # the last iteration settles: passes until one moves nothing, so the drag
+    # ends on a pass; a substep also stops on a pass without conflicts
     inv = 1.0 / SUBSTEPS
     step_x = tx - x0
     step_y = ty - y0
-    for s in range(1, SUBSTEPS + 1):
-        if s == SUBSTEPS:
-            px, py = tx, ty
-        else:
-            t = s * inv
-            px = x0 + step_x * t
-            py = y0 + step_y * t
-        moved = math.hypot(px - xs[pin], py - ys[pin])
-        cpx = 0.0 if px < 0.0 else (width if px > width else px)
-        cpy = 0.0 if py < 0.0 else (height if py > height else py)
-        if cpx != px or cpy != py:
-            stats.workspace_clamps += 1
-            px, py = cpx, cpy
-        xs[pin] = px
-        ys[pin] = py
-        spent += moved
+    for s in range(1, SUBSTEPS + 2):
+        settle = s > SUBSTEPS
+        if not settle:
+            if s == SUBSTEPS:
+                px, py = tx, ty
+            else:
+                t = s * inv
+                px = x0 + step_x * t
+                py = y0 + step_y * t
+            moved = math.hypot(px - xs[pin], py - ys[pin])
+            cpx = 0.0 if px < 0.0 else (width if px > width else px)
+            cpy = 0.0 if py < 0.0 else (height if py > height else py)
+            if cpx != px or cpy != py:
+                wall_clamps += 1
+                px, py = cpx, cpy
+            xs[pin] = px
+            ys[pin] = py
+            spent += moved
 
-        for _ in range(PROJECTION_ITERS):
-            max_move, conflicts = project()
-            if not conflicts or max_move <= _CONVERGED:
+        for _ in range(SETTLE_ITERS if settle else PROJECTION_ITERS):
+            if spent >= event:
+                near, event = _cull(xs, ys, obstacles, mu, levels, spent)
+            max_move, conflicts, cone = _constrained_pass(
+                xs, ys, pin, link_len, cos_lim, sin_lim, dot_lim,
+                width, height, obstacles, mu, near,
+            )
+            cone_clamps += cone
+            conflict_count += conflicts
+            spent += max_move
+            if max_move <= _CONVERGED or not (conflicts or settle):
                 break
 
-    # settle: passes until one moves nothing, so the drag ends on a pass
-    for _ in range(SETTLE_ITERS):
-        max_move, _ = project()
-        if max_move <= _CONVERGED:
-            break
-
+    stats.workspace_clamps += wall_clamps
+    stats.placement_conflicts += conflict_count
+    stats.joint_clamps += cone_clamps
     _exact_rebuild(xs, ys, pin, link_len)
+    return EnvState(np.column_stack([xs, ys]), state.o)
 
 
 # Disc-test cull. A point whose displacement bound in a pass stays below
@@ -454,11 +439,13 @@ def _cull(
     levels: list[float],
     spent: float,
 ) -> tuple[list[tuple[float, float]], float]:
-    """Measure again every obstacle whose budget `levels[b] - spent` is at
-    most -_CULL_ALLOWANCE, then return the obstacles whose budget is within
-    _CULL_ALLOWANCE and the next-event charge: the least `spent` at which a
-    far obstacle's budget falls to the allowance or a near one's to minus
-    the allowance. Measuring a near obstacle again only lets the cull drop
+    """Measure every obstacle whose budget `levels[b] - spent` is at most
+    -_CULL_ALLOWANCE, as every level of -inf is: its level becomes `spent`
+    plus the least clearance from its disc of a keypoint, the pin included,
+    or a link midpoint (negative inside the disc). Then return the obstacles
+    whose budget is within _CULL_ALLOWANCE and the next-event charge: the
+    least `spent` at which a far obstacle's budget falls to the allowance or
+    a near one's to minus the allowance. Measuring a near obstacle again only lets the cull drop
     it once the chain has moved away, so a chain resting against a disc
     measures it once per allowance of charge, not at every pass."""
     near = []
@@ -466,7 +453,23 @@ def _cull(
     for b, c in enumerate(obstacles):
         level = levels[b]
         if level <= spent - _CULL_ALLOWANCE:
-            level = levels[b] = spent + _obstacle_margin(xs, ys, c, mu)
+            # the first "midpoint" is keypoint 0 itself
+            ox, oy = c
+            best = math.inf
+            lx, ly = xs[0], ys[0]
+            for x, y in zip(xs, ys):
+                dx = x - ox
+                dy = y - oy
+                d2 = dx * dx + dy * dy
+                if d2 < best:
+                    best = d2
+                dx = 0.5 * (lx + x) - ox
+                dy = 0.5 * (ly + y) - oy
+                d2 = dx * dx + dy * dy
+                if d2 < best:
+                    best = d2
+                lx, ly = x, y
+            level = levels[b] = spent + (math.sqrt(best) - mu)
         if level - spent <= _CULL_ALLOWANCE:
             near.append(c)
             level += _CULL_ALLOWANCE
@@ -610,7 +613,12 @@ def _constrained_pass(
                     else obstacles
                 )
                 if tested:
-                    # the trailing link midpoint is tested against each disc too
+                    # the trailing link midpoint is tested against each disc
+                    # too. Disc tests here, in _place_constrained, _unwind and
+                    # _sample_chain square with `** 2`, C pow(d, 2.0), which
+                    # differs from d * d by one ulp on 2,583 of 3,000,000
+                    # random differences (glibc 2.36): a swap may move bytes,
+                    # and only the golden digests can show whether it did
                     mx = 0.5 * (prev_x + nx)
                     my = 0.5 * (prev_y + ny)
                     for ox, oy in tested:
@@ -965,29 +973,6 @@ def _unwind(
                     ys[p] = py
                 return moved, nx, ny, clamped
     return None
-
-
-def _obstacle_margin(
-    xs: list[float], ys: list[float], center: tuple[float, float], mu: float
-) -> float:
-    """Smallest clearance of any keypoint or link midpoint, the pin
-    included, from the surface of the disc at `center` (negative means
-    penetration)."""
-    ox, oy = center
-    best = math.inf
-    for i in range(len(xs)):
-        dx = xs[i] - ox
-        dy = ys[i] - oy
-        d2 = dx * dx + dy * dy
-        if d2 < best:
-            best = d2
-    for i in range(len(xs) - 1):
-        dx = 0.5 * (xs[i] + xs[i + 1]) - ox
-        dy = 0.5 * (ys[i] + ys[i + 1]) - oy
-        d2 = dx * dx + dy * dy
-        if d2 < best:
-            best = d2
-    return math.sqrt(best) - mu
 
 
 def _exact_rebuild(xs: list[float], ys: list[float], pin: int, link_len: float) -> None:

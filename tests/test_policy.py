@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from slackline.controller import LeaderFollower
+from slackline.controller import (
+    LeaderFollower,
+    feasible_correspondence_actions,
+    make_pickplace,
+)
 from slackline.harness import EvalArtifacts, make_controller, make_planner
 from slackline.policy import EpisodeResult, run_episode
-from slackline.simulator import ActionPair, execute, generate_env, goal_reached
+from slackline.simulator import (
+    ActionPair,
+    InfeasibleActionError,
+    execute,
+    generate_env,
+    goal_reached,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +116,52 @@ class TestFollowerFromLeaderResult:
                 replayed = execute(state, action, task_config).quantized()
                 assert replayed == result.states[t + 1]
         assert followers > 5
+
+
+class RogueFollower(LeaderFollower):
+    """Leads as LeaderFollower does, then follows with a drag that passes
+    every check of a drag on its own but breaks one rule of a pair: the
+    same arm as the leader, or a pick within the separation threshold."""
+
+    def __init__(self, config, rule):
+        super().__init__(config)
+        self.rule = rule
+        self.broken = 0
+
+    def follow(self, state, subgoal, leader, rng):
+        for arm_id, k, place in feasible_correspondence_actions(
+            state, subgoal, self.config
+        ):
+            same_arm = arm_id == leader.arm_id
+            close = math.hypot(state.q[k, 0] - leader.pick[0],
+                               state.q[k, 1] - leader.pick[1])
+            breaks = {
+                "arm": same_arm,
+                "separation": not same_arm
+                and close <= self.config.min_pick_separation,
+            }
+            if breaks[self.rule]:
+                self.broken += 1
+                return make_pickplace(arm_id, k, state, place)
+        return None
+
+
+class TestPairRules:
+    @pytest.mark.parametrize("rule, message", [
+        ("arm", "different arms"), ("separation", "pick separation"),
+    ])
+    def test_a_follower_breaking_a_pair_rule_is_refused(
+        self, task_config, artifacts, rule, message
+    ):
+        """run_episode executes the leader and the follower one at a time,
+        and holds them to execute's pair rules before the follower runs."""
+        planner = make_planner("random", artifacts, seed=3)
+        controller = RogueFollower(task_config, rule)
+        with pytest.raises(InfeasibleActionError, match=message):
+            for seed in range(6):
+                env = generate_env(task_config, 500 + seed)
+                run_episode(env, planner, controller, task_config, seed)
+        assert controller.broken == 1
 
 
 class TestResultSerialization:

@@ -386,6 +386,25 @@ class TestGolden:
         assert count == 306
         assert digest.hexdigest() == self.DIGEST
 
+    # _constrained_pass calls over the golden corpus's executes; a pass that
+    # moves nothing more keeps every byte but does more work
+    PASSES = 20190
+
+    def test_pass_count_unchanged(self, monkeypatch):
+        corpus = list(golden_corpus())
+        constrained_pass = simulator._constrained_pass
+        passes = 0
+
+        def counting_pass(*args):
+            nonlocal passes
+            passes += 1
+            return constrained_pass(*args)
+
+        monkeypatch.setattr(simulator, "_constrained_pass", counting_pass)
+        for state, action, config in corpus:
+            execute(state, action, config)
+        assert passes == self.PASSES
+
     def test_budgets_bound_clearance(self, monkeypatch):
         """At the start of every pass, each obstacle left out of the tested
         set is farther than the allowance from every keypoint but the pin
